@@ -19,14 +19,16 @@
 //!   fully-connected layer, across pooling windows, and across the requests
 //!   of a batch.
 //!
-//! Evaluation then runs [`FeatureBlock::evaluate_prepared`], the stream-level
-//! twin of the per-call path, which applies the same fused kernels with the
-//! same seeds. The engine is therefore **bit-exact** with the
+//! Evaluation then runs one layer-fused call per layer position
+//! ([`FeatureBlock::evaluate_layer_prepared_with`]): every unit of the
+//! position shares its input streams, MUX selector plans and batched
+//! activation walks, and the kernels run with the same seeds as the per-call
+//! path. The engine is therefore **bit-exact** with the
 //! [`crate::interpreter::Interpreter`]; `verify_against_interpreter`
 //! (an [`EngineOptions`] flag or the standalone [`Engine::verify`] call)
 //! proves it at runtime.
 //!
-//! [`FeatureBlock::evaluate_prepared`]: sc_blocks::feature_block::FeatureBlock::evaluate_prepared
+//! [`FeatureBlock::evaluate_layer_prepared_with`]: sc_blocks::feature_block::FeatureBlock::evaluate_layer_prepared_with
 
 use crate::error::ServeError;
 use crate::interpreter::{Inference, Interpreter};
@@ -36,7 +38,7 @@ use sc_core::arena::{ArenaStats, StreamArena};
 use sc_core::bitstream::BitStream;
 use sc_core::cache::{CacheStats, StreamCache};
 use sc_core::encoding::{Bipolar, Encoding};
-use sc_core::parallel::{parallel_map_with, parallel_map_with_state};
+use sc_core::parallel::parallel_map_with_state;
 use sc_core::sng::{probability_threshold, BatchSng, SngBank, SngKind};
 use sc_core::ScError;
 use sc_dcnn::config::ScNetworkConfig;
@@ -55,21 +57,6 @@ pub struct EngineOptions {
     /// and fails loudly unless the logits are bit-identical. Expensive —
     /// meant for tests, bring-up, and canary replicas.
     pub verify_against_interpreter: bool,
-    /// Evaluate each plan stage through the layer-fused path
-    /// ([`FeatureBlock::evaluate_layer_prepared`]): all units of a stage
-    /// share operand streams, MUX selector plans, and batched activation
-    /// walks. Off reproduces the unit-at-a-time engine (kept as the
-    /// benchmark baseline); outputs are bit-identical either way.
-    ///
-    /// [`FeatureBlock::evaluate_layer_prepared`]: sc_blocks::feature_block::FeatureBlock::evaluate_layer_prepared
-    pub fuse_layers: bool,
-    /// Fan the units of a *single* request across `sc_core::parallel`
-    /// workers (per-worker sessions with their own stream caches). Cuts
-    /// single-request latency on multi-core machines; batched inference
-    /// already parallelizes across requests, and nested fan-outs degrade to
-    /// serial, so the two compose safely. Results are bit-identical
-    /// regardless of the thread budget.
-    pub parallel_units: bool,
 }
 
 impl Default for EngineOptions {
@@ -78,8 +65,6 @@ impl Default for EngineOptions {
             plan: PlanOptions::default(),
             cache_capacity: 1 << 16,
             verify_against_interpreter: false,
-            fuse_layers: true,
-            parallel_units: true,
         }
     }
 }
@@ -144,15 +129,14 @@ impl Session {
     }
 
     /// Enables or disables single-request unit fan-out for inferences run
-    /// through this session (default: enabled, subject to
-    /// [`EngineOptions::parallel_units`]).
+    /// through this session (default: enabled). With fan-out on, the units
+    /// of one request spread across `sc_core::parallel` workers, each with
+    /// its own warm sub-session.
     ///
-    /// The engine's "nested fan-outs degrade to serial" guarantee only
-    /// covers `sc_core::parallel` workers; a caller that runs many sessions
-    /// on its *own* threads — like the TCP runtime's per-worker loops —
-    /// should disable fan-out to avoid oversubscribing the machine with
-    /// `workers × threads` scoped threads. Results are bit-identical either
-    /// way.
+    /// A caller that runs many sessions on its *own* threads — like the TCP
+    /// runtime's per-worker loops — should disable fan-out to avoid
+    /// oversubscribing the machine with `workers × threads` scoped threads.
+    /// Results are bit-identical either way.
     pub fn set_unit_fan_out(&mut self, enabled: bool) {
         self.unit_fan_out = enabled;
     }
@@ -322,34 +306,6 @@ impl Engine {
         Ok(result)
     }
 
-    /// Runs a batch of inferences, fanning the requests across
-    /// `sc_core::parallel` workers (each worker gets its own session). With
-    /// one worker the provided session is used for the whole batch, keeping
-    /// its cache warm.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Engine::infer`]; the first error wins.
-    pub fn infer_batch(
-        &self,
-        session: &mut Session,
-        images: &[Tensor],
-    ) -> Result<Vec<Inference>, ServeError> {
-        if sc_core::parallel::max_threads() <= 1 || images.len() <= 1 {
-            return images
-                .iter()
-                .map(|image| self.infer(session, image))
-                .collect();
-        }
-        parallel_map_with(
-            images,
-            || self.new_session(),
-            |session, _, image| self.infer(session, image),
-        )
-        .into_iter()
-        .collect()
-    }
-
     /// Proves bit-exactness against the per-call interpreter on a set of
     /// images.
     ///
@@ -381,10 +337,7 @@ impl Engine {
     /// `independent_items` independent work items evaluated through
     /// `session`.
     fn fan_out_units(&self, session: &Session, independent_items: usize) -> bool {
-        self.options.parallel_units
-            && session.unit_fan_out
-            && independent_items > 1
-            && sc_core::parallel::max_threads() > 1
+        session.unit_fan_out && independent_items > 1 && sc_core::parallel::max_threads() > 1
     }
 
     fn eval_layer(
@@ -394,9 +347,6 @@ impl Engine {
         weights: &LayerWeightStreams,
         values: &[f64],
     ) -> Result<Vec<f64>, ServeError> {
-        if !self.options.fuse_layers {
-            return self.eval_layer_per_unit(session, layer, weights, values);
-        }
         match layer {
             PlanLayer::Conv(conv) => {
                 let [filters, pooled_h, pooled_w] = conv.out_shape;
@@ -554,44 +504,6 @@ impl Engine {
         }
     }
 
-    /// The pre-fusion unit-at-a-time evaluation path (the
-    /// `fuse_layers: false` baseline the fused path is benchmarked and
-    /// property-tested against).
-    fn eval_layer_per_unit(
-        &self,
-        session: &mut Session,
-        layer: &PlanLayer,
-        weights: &LayerWeightStreams,
-        values: &[f64],
-    ) -> Result<Vec<f64>, ServeError> {
-        match layer {
-            PlanLayer::Conv(conv) => {
-                let [filters, pooled_h, pooled_w] = conv.out_shape;
-                let positions = pooled_h * pooled_w;
-                let mut outputs = Vec::with_capacity(filters * positions);
-                for filter_weights in weights.iter().take(filters) {
-                    for position in 0..positions {
-                        let (py, px) = (position / pooled_w, position % pooled_w);
-                        let fields = conv.gather_fields(values, py, px);
-                        outputs.push(self.eval_unit(
-                            session,
-                            &conv.block,
-                            &fields,
-                            filter_weights,
-                        )?);
-                    }
-                }
-                Ok(outputs)
-            }
-            PlanLayer::Dense(dense) => {
-                let field = vec![values.to_vec()];
-                (0..dense.units.len())
-                    .map(|unit| self.eval_unit(session, &dense.block, &field, &weights[unit]))
-                    .collect()
-            }
-        }
-    }
-
     /// Generates (or serves from the session cache) the input streams of
     /// every pool-window field, in the block's published seed scheme. The
     /// returned buffers are arena-backed; recycle them after use.
@@ -626,23 +538,6 @@ impl Engine {
         }
         session.cache_fill_ns += started.elapsed().as_nanos() as u64;
         Ok(inputs)
-    }
-
-    /// Evaluates one feature-extraction block: cached input streams plus
-    /// pre-generated weight streams through the prepared (fused) pipeline.
-    fn eval_unit(
-        &self,
-        session: &mut Session,
-        block: &FeatureBlock,
-        fields: &[Vec<f64>],
-        weight_streams: &[Vec<BitStream>],
-    ) -> Result<f64, ServeError> {
-        let inputs = self.gather_input_streams(session, block, fields)?;
-        let output = block.evaluate_prepared(&inputs, weight_streams);
-        for field in inputs {
-            session.arena.recycle_all(field);
-        }
-        Ok(output?.bipolar_value())
     }
 }
 
@@ -766,60 +661,30 @@ mod tests {
 
     #[test]
     fn batch_matches_sequential_inference() {
-        let network = small_network(9);
+        // A batch served through one warm session (as a server worker does)
+        // must match each request served through a fresh, cold session.
+        let mut network = Network::new("small-avg");
+        network.push(Box::new(sc_nn::layers::Conv2d::new(1, 2, 3, 1)));
+        network.push(Box::new(sc_nn::layers::AvgPool2::new()));
+        network.push(Box::new(sc_nn::layers::Dense::new(2 * 3 * 3, 4, 2)));
         let config = ScNetworkConfig::new(
             "c",
             vec![FeatureBlockKind::ApcAvgBtanh; 2],
             64,
             PoolingStyle::Average,
         );
-        // Average pooling network variant.
-        let mut network_avg = Network::new("small-avg");
-        network_avg.push(Box::new(sc_nn::layers::Conv2d::new(1, 2, 3, 1)));
-        network_avg.push(Box::new(sc_nn::layers::AvgPool2::new()));
-        network_avg.push(Box::new(sc_nn::layers::Dense::new(2 * 3 * 3, 4, 2)));
-        let _ = network;
-        let engine = Engine::compile(&network_avg, &config, options()).unwrap();
+        let engine = Engine::compile(&network, &config, options()).unwrap();
         let mut session = engine.new_session();
         let images: Vec<Tensor> = (1..5).map(image).collect();
-        let batched = engine.infer_batch(&mut session, &images).unwrap();
-        let sequential: Vec<_> = images
+        let batched: Vec<_> = images
             .iter()
             .map(|img| engine.infer(&mut session, img).unwrap())
             .collect();
+        let sequential: Vec<_> = images
+            .iter()
+            .map(|img| engine.infer(&mut engine.new_session(), img).unwrap())
+            .collect();
         assert_eq!(batched, sequential);
-    }
-
-    #[test]
-    fn fused_engine_matches_per_unit_engine_bit_for_bit() {
-        for (kind, pooling, length) in [
-            (FeatureBlockKind::ApcMaxBtanh, PoolingStyle::Max, 127),
-            (FeatureBlockKind::MuxMaxStanh, PoolingStyle::Max, 100),
-        ] {
-            let network = small_network(21);
-            let config = ScNetworkConfig::new("c", vec![kind; 2], length, pooling);
-            let fused = Engine::compile(&network, &config, options()).unwrap();
-            let per_unit = Engine::compile(
-                &network,
-                &config,
-                EngineOptions {
-                    fuse_layers: false,
-                    parallel_units: false,
-                    ..options()
-                },
-            )
-            .unwrap();
-            let mut fused_session = fused.new_session();
-            let mut per_unit_session = per_unit.new_session();
-            for seed in 1..4 {
-                let image = image(seed);
-                assert_eq!(
-                    fused.infer(&mut fused_session, &image).unwrap(),
-                    per_unit.infer(&mut per_unit_session, &image).unwrap(),
-                    "{kind} L={length} image {seed}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -853,16 +718,9 @@ mod tests {
             128,
             PoolingStyle::Max,
         );
-        let engine = Engine::compile(
-            &network,
-            &config,
-            EngineOptions {
-                parallel_units: false, // keep all traffic in one session
-                ..options()
-            },
-        )
-        .unwrap();
+        let engine = Engine::compile(&network, &config, options()).unwrap();
         let mut session = engine.new_session();
+        session.set_unit_fan_out(false); // keep all traffic in one session
         let frame = image(5);
         engine.infer(&mut session, &frame).unwrap();
         let cold = session.cache_stats();
@@ -878,22 +736,14 @@ mod tests {
     #[test]
     fn steady_state_inference_allocates_no_stream_buffers() {
         // Once the session arena is warm, fused inference must serve every
-        // stream and count buffer from the pool — the per-unit path's
-        // zero-alloc property, restored for the fused path by threading the
-        // session arena through `evaluate_layer_prepared_with`.
+        // stream and count buffer from the pool, because the session arena
+        // is threaded through `evaluate_layer_prepared_with`.
         for kind in [FeatureBlockKind::ApcMaxBtanh, FeatureBlockKind::MuxMaxStanh] {
             let network = small_network(13);
             let config = ScNetworkConfig::new("c", vec![kind; 2], 128, PoolingStyle::Max);
-            let engine = Engine::compile(
-                &network,
-                &config,
-                EngineOptions {
-                    parallel_units: false, // keep all traffic in one arena
-                    ..options()
-                },
-            )
-            .unwrap();
+            let engine = Engine::compile(&network, &config, options()).unwrap();
             let mut session = engine.new_session();
+            session.set_unit_fan_out(false); // keep all traffic in one arena
             let frames: Vec<Tensor> = (1..4).map(image).collect();
             // Warm-up: populate the arena pool and the stream cache.
             for frame in &frames {

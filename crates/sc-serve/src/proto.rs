@@ -10,9 +10,8 @@
 //!
 //! ```text
 //! frame      := len:u32 payload:[u8; len-4] crc32(payload):u32
-//! request v1 := 0x01 id:u64 c:u16 h:u16 w:u16 pixels:[f32; c*h*w]
-//! request v2 := 0x03 ver:u8(=2) model:u16 id:u64 c:u16 h:u16 w:u16 pixels
-//! request v3 := 0x03 ver:u8(=3) model:u16 deadline_ms:u32 id:u64 c:u16 h:u16 w:u16 pixels
+//! request    := 0x03 ver:u8(=3) model:u16 deadline_ms:u32
+//!               id:u64 c:u16 h:u16 w:u16 pixels:[f32; c*h*w]
 //! response   := 0x02 id:u64 status:u8(0=ok) argmax:u16 n:u32 logits:[f64; n]
 //!             | 0x02 id:u64 status:u8(err code) len:u32 message:[u8; len]
 //! ping       := 0x04 nonce:u64
@@ -26,35 +25,29 @@
 //!               n:u16 models:[u16; n] len:u16 message:[u8; len]
 //! ```
 //!
-//! Version 2 (multi-model serving) addresses one of several engines hosted
-//! behind a single listener. Version 3 (overload protection) additionally
-//! carries an optional `deadline_ms` latency budget — `0` means "no
-//! deadline", and v1/v2 frames map to it — and pairs with the typed,
+//! There is exactly one request layout. `model` addresses one of several
+//! engines hosted behind a single listener, and `deadline_ms` is an optional
+//! latency budget (`0` means "no deadline") that pairs with the typed,
 //! retriable error statuses ([`ErrorCode::Overloaded`],
-//! [`ErrorCode::DeadlineExceeded`], [`ErrorCode::ShuttingDown`]). A ping
-//! frame is the health probe: answered directly by a server's connection
-//! reader, it proves the accept loop and connection threads are alive — a
-//! TCP connect only proves the kernel's listen backlog is.
+//! [`ErrorCode::DeadlineExceeded`], [`ErrorCode::ShuttingDown`]). The
+//! version byte is checked before anything else in the payload is trusted:
+//! any other version or request tag is a clean `InvalidData` naming it,
+//! never a misparse. A ping frame is the health probe: answered directly by
+//! a server's connection reader, it proves the accept loop and connection
+//! threads are alive — a TCP connect only proves the kernel's listen
+//! backlog is.
 //!
-//! Version 4 (fleet membership) adds the admin frames: a replica's model
-//! registry becomes mutable at runtime ([`AdminOp::LoadModel`] /
-//! [`AdminOp::UnloadModel`]), a replica can be drained ahead of a restart
-//! ([`AdminOp::Drain`]), and [`AdminOp::Status`] reports the registry —
-//! every admin response carries the full model set plus a monotonically
-//! increasing registry generation, so a router learns fleet membership from
-//! any admin exchange (it piggybacks a status on each health probe). Admin
-//! frames are **authenticated by locality**: a server only honours mutating
-//! ops from loopback peers; `status` is read-only and allowed remotely.
-//! The paired [`ErrorCode::ModelUnavailable`] status is the typed, retriable
-//! "this replica does not host that model" refusal heterogeneous replica
-//! sets produce.
-//!
-//! [`read_request`] accepts every version — old clients keep working against
-//! a new server — while a v1 peer ([`read_request_v1`]) rejects a v2/v3
-//! frame with a clean `InvalidData` error instead of misparsing it. The
-//! version byte inside the 0x03 frame leaves room for later revisions
-//! without burning a new tag each time; an unknown version is likewise a
-//! clean `InvalidData`.
+//! The admin frames make a replica's model registry mutable at runtime
+//! ([`AdminOp::LoadModel`] / [`AdminOp::UnloadModel`]), let a replica be
+//! drained ahead of a restart ([`AdminOp::Drain`]), and report the registry
+//! ([`AdminOp::Status`]) — every admin response carries the full model set
+//! plus a monotonically increasing registry generation, so a router learns
+//! fleet membership from any admin exchange (it piggybacks a status on each
+//! health probe). Admin frames are **authenticated by locality**: a server
+//! only honours mutating ops from loopback peers; `status` is read-only and
+//! allowed remotely. The paired [`ErrorCode::ModelUnavailable`] status is
+//! the typed, retriable "this replica does not host that model" refusal
+//! heterogeneous replica sets produce.
 //!
 //! All integers and floats are little-endian. Frames are capped at 16 MiB.
 //!
@@ -73,17 +66,12 @@ pub const MAX_FRAME_BYTES: usize = 16 << 20;
 /// Bytes of CRC-32 trailer counted by a frame's length prefix.
 pub const FRAME_CRC_BYTES: usize = 4;
 
-/// Protocol version written by [`write_request_v3`] and the highest version
-/// [`read_request`] understands.
+/// The request-frame version written by [`write_request_v3`] and the only
+/// one [`read_request`] accepts.
 pub const PROTOCOL_VERSION: u8 = 3;
 
-/// The multi-model protocol revision (no deadline field), still written by
-/// [`write_request_v2`] and accepted by [`read_request`].
-pub const PROTOCOL_VERSION_V2: u8 = 2;
-
-const TAG_REQUEST: u8 = 1;
 const TAG_RESPONSE: u8 = 2;
-const TAG_REQUEST_V2: u8 = 3;
+const TAG_REQUEST: u8 = 3;
 const TAG_PING: u8 = 4;
 const TAG_PONG: u8 = 5;
 const TAG_ADMIN: u8 = 6;
@@ -98,7 +86,7 @@ const ADMIN_OP_STATUS: u8 = 4;
 /// field; a longer path is a malformed frame, not a real filesystem).
 const MAX_ADMIN_PATH_BYTES: usize = 4096;
 
-/// A protocol-v4 fleet-administration operation.
+/// A fleet-administration operation.
 ///
 /// Carried in a `0x06` frame on the same connection inference requests use
 /// and handled directly on the server's event loop. Mutating ops (`load` /
@@ -159,10 +147,10 @@ pub struct AdminResponse {
 pub struct Request {
     /// Client-chosen correlation id, echoed in the response.
     pub id: u64,
-    /// Model the request addresses (always `0` for a v1 frame).
+    /// Model the request addresses.
     pub model: u16,
     /// Remaining end-to-end latency budget in milliseconds; `0` means "no
-    /// deadline" (and is what v1/v2 frames map to). A server drops a request
+    /// deadline". A server drops a request
     /// whose budget expired before compute and answers
     /// [`ErrorCode::DeadlineExceeded`]; a router decrements the budget
     /// across hops and never retries past it.
@@ -295,7 +283,7 @@ impl Response {
 /// compute queue — the probe checks liveness, not capacity).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
-    /// An inference request (any protocol version).
+    /// An inference request.
     Request(Request),
     /// A health probe; the peer expects a pong echoing the nonce.
     Ping {
@@ -503,11 +491,34 @@ impl Default for FrameDecoder {
     }
 }
 
-/// Validates a shape/pixel pair and appends the shared request body
-/// (`id shape pixels`) to `payload`.
-fn encode_request_body(
-    payload: &mut Vec<u8>,
+/// Serializes and sends a request frame addressing `model` with no deadline:
+/// shorthand for [`write_request_v3`] with `deadline_ms = 0`, emitting the
+/// same layout.
+///
+/// # Errors
+///
+/// Propagates I/O failures; rejects shape/pixel mismatches.
+pub fn write_request_v2(
+    writer: &mut impl Write,
     id: u64,
+    model: u16,
+    shape: [usize; 3],
+    pixels: &[f32],
+) -> io::Result<()> {
+    write_request_v3(writer, id, model, 0, shape, pixels)
+}
+
+/// Serializes and sends a request frame addressing `model` with a
+/// `deadline_ms` latency budget (`0` = no deadline).
+///
+/// # Errors
+///
+/// Propagates I/O failures; rejects shape/pixel mismatches.
+pub fn write_request_v3(
+    writer: &mut impl Write,
+    id: u64,
+    model: u16,
+    deadline_ms: u32,
     shape: [usize; 3],
     pixels: &[f32],
 ) -> io::Result<()> {
@@ -524,6 +535,11 @@ fn encode_request_body(
             "shape {shape:?} describes a zero-length stream"
         )));
     }
+    let mut payload = Vec::with_capacity(8 + 8 + 6 + pixels.len() * 4);
+    payload.push(TAG_REQUEST);
+    payload.push(PROTOCOL_VERSION);
+    payload.extend_from_slice(&model.to_le_bytes());
+    payload.extend_from_slice(&deadline_ms.to_le_bytes());
     payload.extend_from_slice(&id.to_le_bytes());
     for dim in shape {
         payload.extend_from_slice(&(dim as u16).to_le_bytes());
@@ -531,106 +547,24 @@ fn encode_request_body(
     for pixel in pixels {
         payload.extend_from_slice(&pixel.to_le_bytes());
     }
-    Ok(())
-}
-
-/// Serializes and sends a version-1 request frame (model 0).
-///
-/// Kept as the default single-model writer: a v1 frame's payload stays
-/// byte-identical to the pre-multi-model protocol (the checksum trailer is
-/// a frame-level addition shared by every version), and [`read_request`]
-/// maps it to model 0.
-///
-/// # Errors
-///
-/// Propagates I/O failures; rejects shape/pixel mismatches.
-pub fn write_request(
-    writer: &mut impl Write,
-    id: u64,
-    shape: [usize; 3],
-    pixels: &[f32],
-) -> io::Result<()> {
-    let mut payload = Vec::with_capacity(1 + 8 + 6 + pixels.len() * 4);
-    payload.push(TAG_REQUEST);
-    encode_request_body(&mut payload, id, shape, pixels)?;
     write_frame(writer, &payload)
 }
 
-/// Serializes and sends a version-2 request frame addressing `model`.
-///
-/// # Errors
-///
-/// Propagates I/O failures; rejects shape/pixel mismatches.
-pub fn write_request_v2(
-    writer: &mut impl Write,
-    id: u64,
-    model: u16,
-    shape: [usize; 3],
-    pixels: &[f32],
-) -> io::Result<()> {
-    let mut payload = Vec::with_capacity(4 + 8 + 6 + pixels.len() * 4);
-    payload.push(TAG_REQUEST_V2);
-    payload.push(PROTOCOL_VERSION_V2);
-    payload.extend_from_slice(&model.to_le_bytes());
-    encode_request_body(&mut payload, id, shape, pixels)?;
-    write_frame(writer, &payload)
-}
-
-/// Serializes and sends a version-3 request frame addressing `model` with a
-/// `deadline_ms` latency budget (`0` = no deadline).
-///
-/// # Errors
-///
-/// Propagates I/O failures; rejects shape/pixel mismatches.
-pub fn write_request_v3(
-    writer: &mut impl Write,
-    id: u64,
-    model: u16,
-    deadline_ms: u32,
-    shape: [usize; 3],
-    pixels: &[f32],
-) -> io::Result<()> {
-    let mut payload = Vec::with_capacity(8 + 8 + 6 + pixels.len() * 4);
-    payload.push(TAG_REQUEST_V2);
-    payload.push(PROTOCOL_VERSION);
-    payload.extend_from_slice(&model.to_le_bytes());
-    payload.extend_from_slice(&deadline_ms.to_le_bytes());
-    encode_request_body(&mut payload, id, shape, pixels)?;
-    write_frame(writer, &payload)
-}
-
-/// Serializes and sends a parsed request, preserving its wire version. A
-/// deadline-free request for model 0 is written as a v1 frame —
-/// byte-identical to what a v1 client would send — and a deadline-free
-/// request for another model as v2, so forwarding never upgrades a frame an
-/// older backend could have served. A request carrying a deadline needs the
-/// v3 layout (the budget — typically already decremented by the forwarding
-/// hop — must survive the hop).
+/// Serializes and sends a parsed request — its model and its deadline (by
+/// then typically already decremented by the forwarding hop).
 ///
 /// # Errors
 ///
 /// Propagates I/O failures; rejects shape/pixel mismatches.
 pub fn forward_request(writer: &mut impl Write, request: &Request) -> io::Result<()> {
-    if request.deadline_ms != 0 {
-        write_request_v3(
-            writer,
-            request.id,
-            request.model,
-            request.deadline_ms,
-            request.shape,
-            &request.pixels,
-        )
-    } else if request.model == 0 {
-        write_request(writer, request.id, request.shape, &request.pixels)
-    } else {
-        write_request_v2(
-            writer,
-            request.id,
-            request.model,
-            request.shape,
-            &request.pixels,
-        )
-    }
+    write_request_v3(
+        writer,
+        request.id,
+        request.model,
+        request.deadline_ms,
+        request.shape,
+        &request.pixels,
+    )
 }
 
 /// Sends a health-probe ping carrying `nonce`.
@@ -686,7 +620,7 @@ pub fn decode_pong(payload: &[u8]) -> io::Result<u64> {
     Ok(nonce)
 }
 
-/// Serializes and sends a protocol-v4 admin frame.
+/// Serializes and sends an admin frame.
 ///
 /// # Errors
 ///
@@ -759,11 +693,12 @@ fn decode_admin_body(cursor: &mut Cursor<'_>) -> io::Result<AdminOp> {
 ///
 /// # Errors
 ///
-/// Propagates I/O failures; rejects a message longer than the frame cap.
+/// Propagates I/O failures; rejects a message longer than its `u16` length
+/// field can declare.
 pub fn write_admin_response(writer: &mut impl Write, response: &AdminResponse) -> io::Result<()> {
-    if response.message.len() > MAX_FRAME_BYTES / 2 {
+    if response.message.len() > usize::from(u16::MAX) {
         return Err(invalid(format!(
-            "{}-byte admin message exceeds the frame cap",
+            "{}-byte admin message exceeds the u16 length cap",
             response.message.len()
         )));
     }
@@ -841,13 +776,11 @@ fn decode_bool(byte: u8) -> io::Result<bool> {
     }
 }
 
-/// Parses the shared request body (`id shape pixels`) of an already
-/// tag-dispatched request frame.
-fn decode_request_body(
-    cursor: &mut Cursor<'_>,
-    model: u16,
-    deadline_ms: u32,
-) -> io::Result<Request> {
+/// Parses the rest of a request frame (`model deadline_ms id shape pixels`)
+/// once its tag and version have been checked.
+fn decode_request_body(cursor: &mut Cursor<'_>) -> io::Result<Request> {
+    let model = cursor.u16()?;
+    let deadline_ms = cursor.u32()?;
     let id = cursor.u64()?;
     let shape = [
         cursor.u16()? as usize,
@@ -886,13 +819,12 @@ fn decode_request_body(
     })
 }
 
-/// Reads one message — a request of any version, a health-probe ping, or an
-/// admin frame; `Ok(None)` on clean EOF.
+/// Reads one message — a request, a health-probe ping, or an admin frame;
+/// `Ok(None)` on clean EOF.
 ///
-/// A v1 frame maps to model 0; v2 carries a model id; v3 additionally a
-/// deadline budget (v1/v2 map to "no deadline"). A versioned frame
-/// declaring an unknown protocol version is `InvalidData` — the version
-/// byte is checked before anything else in the payload is trusted.
+/// A request declaring any version but [`PROTOCOL_VERSION`], or a frame
+/// with any other tag, is `InvalidData` naming it — the tag and version
+/// bytes are checked before anything else in the payload is trusted.
 ///
 /// # Errors
 ///
@@ -905,8 +837,8 @@ pub fn read_message(reader: &mut impl Read) -> io::Result<Option<Message>> {
 }
 
 /// Parses a request-side frame payload (as yielded by a [`FrameDecoder`]):
-/// a request of any version, a health-probe ping, or an admin frame. Version
-/// semantics match [`read_message`] exactly — the two share this parser.
+/// a request, a health-probe ping, or an admin frame. Tag and version
+/// checks match [`read_message`] exactly — the two share this parser.
 ///
 /// # Errors
 ///
@@ -914,26 +846,15 @@ pub fn read_message(reader: &mut impl Read) -> io::Result<Option<Message>> {
 pub fn decode_message(payload: &[u8]) -> io::Result<Message> {
     let mut cursor = Cursor::new(payload);
     match cursor.u8()? {
-        TAG_REQUEST => Ok(Message::Request(decode_request_body(&mut cursor, 0, 0)?)),
-        TAG_REQUEST_V2 => {
+        TAG_REQUEST => {
             let version = cursor.u8()?;
-            if version != PROTOCOL_VERSION_V2 && version != PROTOCOL_VERSION {
+            if version != PROTOCOL_VERSION {
                 return Err(invalid(format!(
                     "unsupported protocol version {version} (this reader speaks \
-                     {PROTOCOL_VERSION_V2} and {PROTOCOL_VERSION})"
+                     {PROTOCOL_VERSION})"
                 )));
             }
-            let model = cursor.u16()?;
-            let deadline_ms = if version >= PROTOCOL_VERSION {
-                cursor.u32()?
-            } else {
-                0
-            };
-            Ok(Message::Request(decode_request_body(
-                &mut cursor,
-                model,
-                deadline_ms,
-            )?))
+            Ok(Message::Request(decode_request_body(&mut cursor)?))
         }
         TAG_PING => {
             let nonce = cursor.u64()?;
@@ -945,11 +866,13 @@ pub fn decode_message(payload: &[u8]) -> io::Result<Message> {
             cursor.finish()?;
             Ok(Message::Admin(op))
         }
-        _ => Err(invalid("expected a request frame")),
+        tag => Err(invalid(format!(
+            "expected a request frame, got frame tag {tag:#04x}"
+        ))),
     }
 }
 
-/// Reads one request, any version; `Ok(None)` on clean EOF.
+/// Reads one request; `Ok(None)` on clean EOF.
 ///
 /// A ping frame is `InvalidData` to this reader — callers that also answer
 /// health probes use [`read_message`].
@@ -964,29 +887,6 @@ pub fn read_request(reader: &mut impl Read) -> io::Result<Option<Request>> {
         Some(Message::Ping { .. }) => Err(invalid("expected a request frame, got a ping")),
         Some(Message::Admin(_)) => Err(invalid("expected a request frame, got an admin frame")),
     }
-}
-
-/// Reads one request the way a version-1 peer does: only v1 frames are
-/// accepted; a v2 frame is a clean `InvalidData` error (its tag byte is not
-/// a request tag to this reader), never a misparse.
-///
-/// Kept so cross-version behaviour stays testable from the v2 codebase: a
-/// v1 `serve` deployment behind a mixed client population fails v2 traffic
-/// loudly at the protocol layer instead of serving the wrong model.
-///
-/// # Errors
-///
-/// Propagates I/O failures; returns `InvalidData` for malformed and v2
-/// frames.
-pub fn read_request_v1(reader: &mut impl Read) -> io::Result<Option<Request>> {
-    let Some(payload) = read_frame(reader)? else {
-        return Ok(None);
-    };
-    let mut cursor = Cursor::new(&payload);
-    if cursor.u8()? != TAG_REQUEST {
-        return Err(invalid("expected a request frame"));
-    }
-    Ok(Some(decode_request_body(&mut cursor, 0, 0)?))
 }
 
 /// Serializes and sends a response frame.
@@ -1145,10 +1045,11 @@ mod tests {
     fn request_round_trip() {
         let mut wire = Vec::new();
         let pixels: Vec<f32> = (0..12).map(|i| i as f32 / 12.0).collect();
-        write_request(&mut wire, 42, [1, 3, 4], &pixels).unwrap();
+        write_request_v3(&mut wire, 42, 0, 0, [1, 3, 4], &pixels).unwrap();
         let parsed = read_request(&mut wire.as_slice()).unwrap().unwrap();
         assert_eq!(parsed.id, 42);
         assert_eq!(parsed.model, 0);
+        assert_eq!(parsed.deadline_ms, 0);
         assert_eq!(parsed.shape, [1, 3, 4]);
         assert_eq!(parsed.pixels, pixels);
         // EOF after the frame.
@@ -1163,13 +1064,18 @@ mod tests {
         for model in [0u16, 1, 7, u16::MAX] {
             let mut wire = Vec::new();
             write_request_v2(&mut wire, 42, model, [1, 2, 3], &pixels).unwrap();
+            // The deadline-free shorthand emits the one request layout.
+            let mut v3 = Vec::new();
+            write_request_v3(&mut v3, 42, model, 0, [1, 2, 3], &pixels).unwrap();
+            assert_eq!(wire, v3);
             let parsed = read_request(&mut wire.as_slice()).unwrap().unwrap();
             assert_eq!(parsed.id, 42);
             assert_eq!(parsed.model, model);
+            assert_eq!(parsed.deadline_ms, 0);
             assert_eq!(parsed.shape, [1, 2, 3]);
             assert_eq!(parsed.pixels, pixels);
         }
-        // The v2 writer applies the same shape validation as the v1 writer.
+        // The shorthand applies the same shape validation.
         let mut wire = Vec::new();
         assert!(write_request_v2(&mut wire, 1, 3, [0, 2, 3], &[]).is_err());
         assert!(write_request_v2(&mut wire, 1, 3, [1, 2, 3], &[0.0; 5]).is_err());
@@ -1177,95 +1083,53 @@ mod tests {
     }
 
     #[test]
-    fn v2_reader_accepts_v1_frames_as_model_zero() {
-        // Cross-version matrix, forward direction: an old client's frame is
-        // served by a multi-model server as model 0 — byte layout untouched.
-        let pixels = [0.5f32, -0.25, 0.125, 1.0];
-        let mut wire = Vec::new();
-        write_request(&mut wire, 9, [1, 2, 2], &pixels).unwrap();
-        let parsed = read_request(&mut wire.as_slice()).unwrap().unwrap();
-        assert_eq!(parsed.model, 0);
-        assert_eq!(parsed.id, 9);
-        assert_eq!(parsed.pixels, pixels);
-    }
-
-    #[test]
-    fn v1_reader_rejects_v2_frames_cleanly() {
-        // Cross-version matrix, reverse direction: a v1 peer must fail a v2
-        // frame with `InvalidData` — not hang, not misparse the model id as
-        // part of the request id.
-        let mut wire = Vec::new();
-        write_request_v2(&mut wire, 3, 1, [1, 2, 2], &[0.0; 4]).unwrap();
-        let error = read_request_v1(&mut wire.as_slice()).unwrap_err();
-        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
-        assert!(error.to_string().contains("request frame"), "{error}");
-        // The v1 reader still accepts v1 frames and clean EOF.
-        let mut wire = Vec::new();
-        write_request(&mut wire, 4, [1, 1, 1], &[0.5]).unwrap();
-        let mut reader = wire.as_slice();
-        assert_eq!(read_request_v1(&mut reader).unwrap().unwrap().id, 4);
-        assert!(read_request_v1(&mut reader).unwrap().is_none());
-    }
-
-    #[test]
     fn unknown_protocol_version_is_rejected() {
-        // A v2-tagged frame with a version byte from the future must fail
-        // before any of its payload is trusted. The version byte is patched
-        // at the payload level and the frame re-checksummed, so the failure
-        // below is the version check, not corruption detection.
+        // Every layout but tag 0x03 / version 3 must fail before any of its
+        // payload is trusted: the retired v1 tag, the retired version 2 and
+        // a version from the future. The header bytes are patched at the
+        // payload level and the frame re-checksummed, so each failure below
+        // is the tag or version check, not corruption detection.
         let mut wire = Vec::new();
-        write_request_v2(&mut wire, 5, 2, [1, 1, 1], &[0.25]).unwrap();
+        write_request_v3(&mut wire, 5, 2, 0, [1, 1, 1], &[0.25]).unwrap();
         // Payload sits between the 4-byte length prefix and the 4-byte
         // checksum trailer: [tag, version, ...].
-        let mut payload = wire[4..wire.len() - FRAME_CRC_BYTES].to_vec();
-        payload[1] = PROTOCOL_VERSION + 1;
-        let wire = frame(&payload);
-        let error = read_request(&mut wire.as_slice()).unwrap_err();
-        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
-        assert!(error.to_string().contains("version"), "{error}");
+        let payload = wire[4..wire.len() - FRAME_CRC_BYTES].to_vec();
+        for (byte, value, named) in [
+            (0, 0x01, "tag 0x01"),
+            (1, 2, "version 2"),
+            (1, PROTOCOL_VERSION + 1, "version 4"),
+        ] {
+            let mut patched = payload.clone();
+            patched[byte] = value;
+            let error = read_request(&mut frame(&patched).as_slice()).unwrap_err();
+            assert_eq!(error.kind(), io::ErrorKind::InvalidData, "{named}");
+            assert!(error.to_string().contains(named), "{named}: {error}");
+        }
     }
 
     #[test]
     fn forward_request_preserves_wire_version_by_model_and_deadline() {
-        // Deadline-free model 0 forwards as a byte-identical v1 frame; other
-        // deadline-free models as v2; any deadline forces the v3 layout.
+        // Forwarding writes the one request layout, byte-identical to a
+        // direct write, and the model and deadline survive the hop.
         let pixels = [0.5f32, 0.25];
-        let v0 = Request {
-            id: 11,
-            model: 0,
-            deadline_ms: 0,
-            shape: [1, 1, 2],
-            pixels: pixels.to_vec(),
-        };
-        let mut forwarded = Vec::new();
-        forward_request(&mut forwarded, &v0).unwrap();
-        let mut direct = Vec::new();
-        write_request(&mut direct, 11, [1, 1, 2], &pixels).unwrap();
-        assert_eq!(forwarded, direct);
-        let v2 = Request {
-            model: 3,
-            ..v0.clone()
-        };
-        let mut forwarded = Vec::new();
-        forward_request(&mut forwarded, &v2).unwrap();
-        assert_eq!(
-            read_request(&mut forwarded.as_slice()).unwrap().unwrap(),
-            v2
-        );
-        // A deadline survives forwarding even for model 0 (v3 layout).
-        let with_deadline = Request {
-            deadline_ms: 250,
-            ..v0
-        };
-        let mut forwarded = Vec::new();
-        forward_request(&mut forwarded, &with_deadline).unwrap();
-        let mut direct = Vec::new();
-        write_request_v3(&mut direct, 11, 0, 250, [1, 1, 2], &pixels).unwrap();
-        assert_eq!(forwarded, direct);
-        assert_eq!(
-            read_request(&mut forwarded.as_slice()).unwrap().unwrap(),
-            with_deadline
-        );
+        for (model, deadline_ms) in [(0u16, 0u32), (3, 0), (0, 250)] {
+            let request = Request {
+                id: 11,
+                model,
+                deadline_ms,
+                shape: [1, 1, 2],
+                pixels: pixels.to_vec(),
+            };
+            let mut forwarded = Vec::new();
+            forward_request(&mut forwarded, &request).unwrap();
+            let mut direct = Vec::new();
+            write_request_v3(&mut direct, 11, model, deadline_ms, [1, 1, 2], &pixels).unwrap();
+            assert_eq!(forwarded, direct);
+            assert_eq!(
+                read_request(&mut forwarded.as_slice()).unwrap().unwrap(),
+                request
+            );
+        }
     }
 
     #[test]
@@ -1280,21 +1144,6 @@ mod tests {
             assert_eq!(parsed.deadline_ms, deadline_ms);
             assert_eq!(parsed.pixels, pixels);
         }
-        // v1/v2 frames map to "no deadline".
-        let mut wire = Vec::new();
-        write_request_v2(&mut wire, 4, 2, [1, 2, 2], &pixels).unwrap();
-        assert_eq!(
-            read_request(&mut wire.as_slice())
-                .unwrap()
-                .unwrap()
-                .deadline_ms,
-            0
-        );
-        // A v1 peer rejects a v3 frame as cleanly as it rejects v2.
-        let mut wire = Vec::new();
-        write_request_v3(&mut wire, 5, 0, 100, [1, 2, 2], &pixels).unwrap();
-        let error = read_request_v1(&mut wire.as_slice()).unwrap_err();
-        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
@@ -1503,13 +1352,22 @@ mod tests {
     fn huge_declared_shape_is_rejected_without_allocating() {
         // A tiny frame claiming a 65535^3-pixel image must be rejected by
         // the payload-size cross-check, not by an allocation attempt.
-        let mut payload = vec![TAG_REQUEST];
+        let mut payload = request_header();
         payload.extend_from_slice(&1u64.to_le_bytes());
         for _ in 0..3 {
             payload.extend_from_slice(&u16::MAX.to_le_bytes());
         }
         let error = read_request(&mut frame(&payload).as_slice()).unwrap_err();
         assert!(error.to_string().contains("declares"), "{error}");
+    }
+
+    /// The request payload up to the body: tag, version, model 0 and no
+    /// deadline.
+    fn request_header() -> Vec<u8> {
+        let mut payload = vec![TAG_REQUEST, PROTOCOL_VERSION];
+        payload.extend_from_slice(&0u16.to_le_bytes());
+        payload.extend_from_slice(&0u32.to_le_bytes());
+        payload
     }
 
     /// Wraps a raw payload in a length-prefixed, checksummed frame.
@@ -1526,11 +1384,11 @@ mod tests {
     fn zero_length_streams_are_rejected_on_both_sides() {
         // Writer side: a zero dimension means zero pixels — refuse to send.
         let mut wire = Vec::new();
-        let error = write_request(&mut wire, 1, [0, 4, 4], &[]).unwrap_err();
+        let error = write_request_v3(&mut wire, 1, 0, 0, [0, 4, 4], &[]).unwrap_err();
         assert!(error.to_string().contains("zero-length"), "{error}");
         // Reader side: a hand-crafted zero-shape frame is rejected before
         // the empty pixel vector could flow into the engine.
-        let mut payload = vec![TAG_REQUEST];
+        let mut payload = request_header();
         payload.extend_from_slice(&3u64.to_le_bytes());
         for dim in [0u16, 4, 4] {
             payload.extend_from_slice(&dim.to_le_bytes());
@@ -1544,7 +1402,7 @@ mod tests {
         // A request whose frame header promises more pixels than the frame
         // carries must fail the declared/carried cross-check, not read
         // out of bounds or under-fill the pixel vector.
-        let mut payload = vec![TAG_REQUEST];
+        let mut payload = request_header();
         payload.extend_from_slice(&9u64.to_le_bytes());
         for dim in [1u16, 2, 2] {
             payload.extend_from_slice(&dim.to_le_bytes());
@@ -1592,35 +1450,49 @@ mod tests {
         let error = write_response(&mut wire, &too_many_logits).unwrap_err();
         assert!(error.to_string().contains("cap"), "{error}");
         assert!(wire.is_empty(), "nothing may hit the wire on error");
+        // An admin message longer than its u16 length field is refused too,
+        // instead of serializing a frame its own decoder rejects.
+        let mut response = AdminResponse {
+            ok: false,
+            draining: false,
+            generation: 1,
+            models: vec![0],
+            message: "m".repeat(usize::from(u16::MAX) + 1),
+        };
+        let error = write_admin_response(&mut wire, &response).unwrap_err();
+        assert!(error.to_string().contains("cap"), "{error}");
+        assert!(wire.is_empty(), "nothing may hit the wire on error");
+        // The longest message the field can declare still round-trips.
+        response.message.pop();
+        write_admin_response(&mut wire, &response).unwrap();
+        assert_eq!(
+            read_admin_response(&mut wire.as_slice()).unwrap().unwrap(),
+            response
+        );
     }
 
     #[test]
     fn malformed_frames_are_rejected() {
         // Shape mismatch on the writer side.
         let mut wire = Vec::new();
-        assert!(write_request(&mut wire, 1, [1, 2, 2], &[0.0; 3]).is_err());
+        assert!(write_request_v3(&mut wire, 1, 0, 0, [1, 2, 2], &[0.0; 3]).is_err());
         // Oversized frame header.
         let huge = (MAX_FRAME_BYTES as u32 + 1).to_le_bytes();
         assert!(read_request(&mut huge.as_slice()).is_err());
         // Truncated payload.
         let mut ok_wire = Vec::new();
-        write_request(&mut ok_wire, 1, [1, 1, 1], &[0.5]).unwrap();
+        write_request_v3(&mut ok_wire, 1, 0, 0, [1, 1, 1], &[0.5]).unwrap();
         let truncated = &ok_wire[..ok_wire.len() - 2];
         assert!(read_request(&mut &truncated[..]).is_err());
         // Request parsed as response.
         assert!(read_response(&mut ok_wire.as_slice()).is_err());
     }
 
-    /// One valid frame of each wire version plus a response, used as fuzz
-    /// seeds below.
+    /// One valid frame of each kind, used as fuzz seeds below.
     fn fuzz_seed_frames() -> Vec<(&'static str, Vec<u8>)> {
         let pixels = [0.5f32, -0.25, 0.125, 1.0];
-        let mut v1 = Vec::new();
-        write_request(&mut v1, 3, [1, 2, 2], &pixels).unwrap();
-        let mut v2 = Vec::new();
-        write_request_v2(&mut v2, 4, 1, [1, 2, 2], &pixels).unwrap();
-        let mut v3 = Vec::new();
-        write_request_v3(&mut v3, 5, 1, 750, [1, 2, 2], &pixels).unwrap();
+        let mut request = Vec::new();
+        write_request_v3(&mut request, 5, 1, 750, [1, 2, 2], &pixels).unwrap();
         let mut ok = Vec::new();
         write_response(
             &mut ok,
@@ -1663,9 +1535,7 @@ mod tests {
         )
         .unwrap();
         vec![
-            ("v1 request", v1),
-            ("v2 request", v2),
-            ("v3 request", v3),
+            ("request", request),
             ("ok response", ok),
             ("err response", err),
             ("admin load", admin),
@@ -1680,10 +1550,6 @@ mod tests {
     fn assert_clean_parse(label: &str, wire: &[u8]) {
         for (side, result) in [
             ("read_request", read_request(&mut &wire[..]).map(|_| ())),
-            (
-                "read_request_v1",
-                read_request_v1(&mut &wire[..]).map(|_| ()),
-            ),
             ("read_message", read_message(&mut &wire[..]).map(|_| ())),
             ("read_response", read_response(&mut &wire[..]).map(|_| ())),
             ("read_pong", read_pong(&mut &wire[..]).map(|_| ())),
@@ -1755,7 +1621,7 @@ mod tests {
     #[test]
     fn checksum_mismatch_is_a_typed_error() {
         let mut wire = Vec::new();
-        write_request(&mut wire, 8, [1, 1, 2], &[0.5, 0.25]).unwrap();
+        write_request_v3(&mut wire, 8, 0, 0, [1, 1, 2], &[0.5, 0.25]).unwrap();
         // Flip a pixel byte: structurally the frame still parses, so only
         // the checksum can catch this.
         let pixel_offset = wire.len() - FRAME_CRC_BYTES - 3;

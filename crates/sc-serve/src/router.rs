@@ -48,11 +48,12 @@
 //!   a hedge is one extra frame on an existing channel, not a new
 //!   connection.
 //!
-//! The router is protocol-transparent: it parses requests (v1/v2/v3) only
-//! to learn frame boundaries, ids, model ids, and deadlines, and forwards
-//! them with [`crate::proto::forward_request`], which preserves the wire
-//! version. Response payloads are relayed with only the id rewritten back,
-//! so a routed inference is bit-exact with a direct engine call.
+//! The router is protocol-transparent: it parses requests only to learn
+//! frame boundaries, ids, model ids, and deadlines, and forwards them with
+//! [`crate::proto::forward_request`], which keeps the model and the
+//! hop-decremented deadline. Response payloads are relayed with only the id
+//! rewritten back, so a routed inference is bit-exact with a direct engine
+//! call.
 //!
 //! [`SHUTTING_DOWN_MESSAGE`]: crate::server::SHUTTING_DOWN_MESSAGE
 
@@ -1990,7 +1991,7 @@ impl RouterIo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{read_response, write_request, write_request_v3};
+    use crate::proto::{read_response, write_request_v3};
 
     /// An address nothing is listening on (bound then immediately freed).
     fn dead_addr() -> SocketAddr {
@@ -2230,7 +2231,7 @@ mod tests {
             .set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
         let mut writer = stream.try_clone().unwrap();
-        write_request(&mut writer, 42, [1, 1, 1], &[0.5]).unwrap();
+        write_request_v3(&mut writer, 42, 0, 0, [1, 1, 1], &[0.5]).unwrap();
         let mut reader = BufReader::new(stream);
         match read_response(&mut reader).unwrap().expect("typed reply") {
             Response::Err { id, code, message } => {
@@ -2266,7 +2267,7 @@ mod tests {
             .unwrap();
         let mut writer = stream.try_clone().unwrap();
         let start = Instant::now();
-        write_request(&mut writer, 7, [1, 1, 1], &[0.5]).unwrap();
+        write_request_v3(&mut writer, 7, 0, 0, [1, 1, 1], &[0.5]).unwrap();
         let mut reader = BufReader::new(stream);
         match read_response(&mut reader).unwrap().expect("typed reply") {
             Response::Err { code, message, .. } => {

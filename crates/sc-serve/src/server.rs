@@ -22,8 +22,8 @@
 //! One listener serves **N compiled engines** (multi-model serving): each
 //! worker owns one long-lived [`Session`] *per model*, so every model's
 //! input-stream cache stays warm across batches regardless of how traffic
-//! interleaves. Requests address a model through the protocol-v2 `model`
-//! field; v1 frames map to model 0. A slow client never blocks inference:
+//! interleaves. Requests address a model through the request frame's
+//! `model` field. A slow client never blocks inference:
 //! its responses accumulate in its output buffer (bounded by the write
 //! timeout), not on a worker.
 //!
@@ -132,7 +132,7 @@ impl Default for ServerOptions {
 /// The mutable model registry behind one listener: which engines this
 /// replica hosts, right now.
 ///
-/// Protocol-v4 admin frames mutate it at runtime (load-model /
+/// Admin frames mutate it at runtime (load-model /
 /// unload-model / drain), so a replica's model set is fleet state, not a
 /// process constant. Every mutation bumps a monotonically increasing
 /// **generation** under the slot write lock:
@@ -476,8 +476,8 @@ pub fn spawn(
 
 /// Starts serving `engines` on one listener and returns immediately.
 ///
-/// Engine `i` is model `i` of the protocol's v2 `model` field; v1 requests
-/// map to model 0. Each worker keeps one warm [`Session`] per model, so the
+/// Engine `i` is model `i` of the request frame's `model` field. Each
+/// worker keeps one warm [`Session`] per model, so the
 /// per-model stream caches survive interleaved traffic.
 ///
 /// # Errors
@@ -994,7 +994,7 @@ impl IoLoop {
             Ok(Message::Ping { nonce }) => {
                 let _ = write_pong(&mut conn.outbuf, nonce);
             }
-            // Protocol-v4 admin frames mutate the model registry at
+            // Admin frames mutate the model registry at
             // runtime. They are handled on the event loop: inference
             // traffic keeps flowing through the workers while a model
             // loads, at the cost of stalling frame I/O for the load's
@@ -1606,7 +1606,7 @@ mod tests {
         let io = std::thread::spawn(move || io_loop.run());
         let client = TcpStream::connect(addr).unwrap();
         let mut writer = client.try_clone().unwrap();
-        crate::proto::write_request(&mut writer, 77, [1, 2, 2], &[0.0; 4]).unwrap();
+        crate::proto::write_request_v3(&mut writer, 77, 0, 0, [1, 2, 2], &[0.0; 4]).unwrap();
         let mut reader = BufReader::new(client);
         match crate::proto::read_response(&mut reader).unwrap().unwrap() {
             Response::Err { id, code, message } => {

@@ -29,7 +29,7 @@ use sc_serve::batch::BatchPolicy;
 use sc_serve::engine::{Engine, EngineOptions};
 use sc_serve::fault::{FaultKind, FaultProxy};
 use sc_serve::plan::PlanOptions;
-use sc_serve::proto::{read_response, write_request, write_request_v3, ErrorCode, Response};
+use sc_serve::proto::{read_response, write_request_v3, ErrorCode, Response};
 use sc_serve::router::{spawn_router, RouterHandle, RouterOptions};
 use sc_serve::server::{spawn_multi, ServerHandle, ServerOptions};
 use std::io::BufReader;
@@ -123,7 +123,7 @@ fn assert_all_ok_bit_exact(
 ) {
     for id in ids {
         let seed = id as u32;
-        write_request(writer, id, [1, 4, 4], test_image(seed).as_slice()).unwrap();
+        write_request_v3(writer, id, 0, 0, [1, 4, 4], test_image(seed).as_slice()).unwrap();
         match read_response(reader)
             .unwrap()
             .expect("reply, not a disconnect")
@@ -327,7 +327,7 @@ fn slow_replica_answers_deadline_exceeded_not_silence() {
         other => panic!("expected DEADLINE_EXCEEDED, got {other:?}"),
     }
     // No deadline: slow is fine.
-    write_request(&mut writer, 2, [1, 4, 4], test_image(2).as_slice()).unwrap();
+    write_request_v3(&mut writer, 2, 0, 0, [1, 4, 4], test_image(2).as_slice()).unwrap();
     match read_response(&mut reader).unwrap().expect("reply") {
         Response::Ok { id, logits, .. } => {
             assert_eq!(id, 2);
@@ -431,7 +431,7 @@ fn overload_sheds_typed_errors_and_loses_nothing() {
     let (mut writer, mut reader) = connect(handle.addr());
     let image = test_image(3);
     for id in 0..BURST {
-        write_request(&mut writer, id, [1, 4, 4], image.as_slice()).unwrap();
+        write_request_v3(&mut writer, id, 0, 0, [1, 4, 4], image.as_slice()).unwrap();
     }
     let expected = expect_logits(&engine, 3);
     let mut oks = 0u64;
@@ -622,7 +622,7 @@ fn breaker_trips_on_faults_and_recovers_when_they_clear() {
     // Fault on: the lone backend stalls, trips the breaker, and the client
     // gets a typed retriable refusal.
     proxy.set_enabled(true);
-    write_request(&mut writer, 1, [1, 4, 4], test_image(1).as_slice()).unwrap();
+    write_request_v3(&mut writer, 1, 0, 0, [1, 4, 4], test_image(1).as_slice()).unwrap();
     match read_response(&mut reader).unwrap().expect("typed reply") {
         Response::Err { id, code, message } => {
             assert_eq!(id, 1);

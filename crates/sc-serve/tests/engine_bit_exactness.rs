@@ -69,10 +69,10 @@ fn engine_is_bit_exact_across_kinds_and_lengths() {
 
 #[test]
 fn fused_engine_is_bit_exact_across_kinds_lengths_and_schedules() {
-    // The layer-fused path must reproduce the per-unit engine — and through
-    // it the interpreter — across all four block kinds, stream lengths
-    // including the non-word-multiple 127, and serial vs parallel unit
-    // fan-out.
+    // The layer-fused engine must reproduce the interpreter across all four
+    // block kinds, stream lengths including the non-word-multiple 127, and
+    // serial vs parallel unit fan-out.
+    let images: Vec<Tensor> = (1..4).map(probe_image).collect();
     for kind in FeatureBlockKind::ALL {
         for stream_length in [100usize, 127] {
             let pooling = if kind.uses_max_pooling() {
@@ -82,43 +82,25 @@ fn fused_engine_is_bit_exact_across_kinds_lengths_and_schedules() {
             };
             let network = probe_network(kind, 90 + stream_length as u64);
             let config = ScNetworkConfig::new("fused", vec![kind; 3], stream_length, pooling);
-            let base = EngineOptions {
-                plan: PlanOptions {
-                    input_shape: [1, 8, 8],
-                    base_seed: 7 + stream_length as u64,
-                },
-                ..EngineOptions::default()
-            };
-            let fused = Engine::compile(&network, &config, base).unwrap();
-            let per_unit = Engine::compile(
+            let engine = Engine::compile(
                 &network,
                 &config,
                 EngineOptions {
-                    fuse_layers: false,
-                    parallel_units: false,
-                    ..base
+                    plan: PlanOptions {
+                        input_shape: [1, 8, 8],
+                        base_seed: 7 + stream_length as u64,
+                    },
+                    ..EngineOptions::default()
                 },
             )
             .unwrap();
-            let images: Vec<Tensor> = (1..4).map(probe_image).collect();
-            // Fused engine against the interpreter (ground truth)…
-            let mut session = fused.new_session();
-            fused
-                .verify(&mut session, &images)
-                .unwrap_or_else(|error| panic!("{kind} at L={stream_length}: {error}"));
-            // …and against the per-unit engine, serial and fanned out.
             for thread_limit in [1usize, 4] {
                 sc_core::parallel::set_thread_limit(thread_limit);
-                let mut fused_session = fused.new_session();
-                let mut per_unit_session = per_unit.new_session();
-                for image in &images {
-                    assert_eq!(
-                        fused.infer(&mut fused_session, image).unwrap(),
-                        per_unit.infer(&mut per_unit_session, image).unwrap(),
-                        "{kind} at L={stream_length}, {thread_limit} threads"
-                    );
-                }
+                let verified = engine.verify(&mut engine.new_session(), &images);
                 sc_core::parallel::set_thread_limit(0);
+                verified.unwrap_or_else(|error| {
+                    panic!("{kind} at L={stream_length}, {thread_limit} threads: {error}")
+                });
             }
         }
     }
@@ -126,6 +108,8 @@ fn fused_engine_is_bit_exact_across_kinds_lengths_and_schedules() {
 
 #[test]
 fn batch_inference_matches_single_requests_at_any_batch_size() {
+    // A server worker serves each batch through one warm session; results
+    // must not depend on how requests are grouped into sessions.
     let kind = FeatureBlockKind::ApcMaxBtanh;
     let network = probe_network(kind, 7);
     let config = ScNetworkConfig::new("batch", vec![kind; 3], 127, PoolingStyle::Max);
@@ -150,11 +134,10 @@ fn batch_inference_matches_single_requests_at_any_batch_size() {
     for batch_size in [1usize, 2, 3, 8] {
         for (start, chunk) in images.chunks(batch_size).enumerate() {
             let mut batch_session = engine.new_session();
-            let batch = engine.infer_batch(&mut batch_session, chunk).unwrap();
-            for (offset, result) in batch.iter().enumerate() {
+            for (offset, image) in chunk.iter().enumerate() {
                 assert_eq!(
-                    result,
-                    &singles[start * batch_size + offset],
+                    engine.infer(&mut batch_session, image).unwrap(),
+                    singles[start * batch_size + offset],
                     "batch size {batch_size} diverged at image {}",
                     start * batch_size + offset
                 );

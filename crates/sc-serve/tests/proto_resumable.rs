@@ -1,14 +1,14 @@
 //! Resumable-proto equivalence suite: the event-loop I/O front parses frames
 //! through [`sc_serve::proto::FrameDecoder`], which must agree byte-for-byte
 //! with the blocking one-shot readers no matter how the kernel fragments the
-//! stream. Every v1/v2/v3 request frame, response frame, and ping/pong frame
+//! stream. Every request frame, response frame, and ping/pong frame
 //! is fed byte-by-byte and at seeded random split points, and the decoder's
 //! reused buffer must not churn allocations across frames.
 
 use sc_serve::proto::{
     decode_message, decode_pong, decode_response, read_message, read_pong, read_response,
-    write_ping, write_pong, write_request, write_request_v2, write_request_v3, write_response,
-    ErrorCode, FrameDecoder, Message, Response,
+    write_ping, write_pong, write_request_v3, write_response, ErrorCode, FrameDecoder, Message,
+    Response,
 };
 
 /// SplitMix64 — the repo's standard deterministic test RNG.
@@ -56,12 +56,10 @@ fn decoder_outcome(payload: &[u8]) -> ParseOutcome {
 /// One frame of every wire shape the serving plane produces.
 fn seed_frames() -> Vec<(&'static str, Vec<u8>)> {
     let pixels: Vec<f32> = (0..20).map(|i| (i as f32 - 10.0) / 8.0).collect();
-    let mut v1 = Vec::new();
-    write_request(&mut v1, 101, [1, 4, 5], &pixels).unwrap();
-    let mut v2 = Vec::new();
-    write_request_v2(&mut v2, 102, 3, [1, 4, 5], &pixels).unwrap();
-    let mut v3 = Vec::new();
-    write_request_v3(&mut v3, 103, 3, 750, [1, 4, 5], &pixels).unwrap();
+    let mut request = Vec::new();
+    write_request_v3(&mut request, 101, 0, 0, [1, 4, 5], &pixels).unwrap();
+    let mut budgeted = Vec::new();
+    write_request_v3(&mut budgeted, 103, 3, 750, [1, 4, 5], &pixels).unwrap();
     let mut ok = Vec::new();
     write_response(
         &mut ok,
@@ -87,9 +85,8 @@ fn seed_frames() -> Vec<(&'static str, Vec<u8>)> {
     let mut pong = Vec::new();
     write_pong(&mut pong, 0x51AB_70FF).unwrap();
     vec![
-        ("v1 request", v1),
-        ("v2 request", v2),
-        ("v3 request", v3),
+        ("request", request),
+        ("request with model and deadline", budgeted),
         ("ok response", ok),
         ("err response", err),
         ("ping", ping),
@@ -192,7 +189,7 @@ fn pipelined_frames_are_split_at_exact_boundaries() {
     // stop at the first frame boundary and leave the second frame's bytes
     // unconsumed for the next cycle.
     let mut first = Vec::new();
-    write_request(&mut first, 7, [1, 2, 2], &[0.1, 0.2, 0.3, 0.4]).unwrap();
+    write_request_v3(&mut first, 7, 0, 0, [1, 2, 2], &[0.1, 0.2, 0.3, 0.4]).unwrap();
     let mut second = Vec::new();
     write_ping(&mut second, 99).unwrap();
     let mut stream = first.clone();
@@ -220,7 +217,7 @@ fn buffer_is_reused_across_frames_without_reallocation_churn() {
     // the accumulation buffer after the first frame sized it.
     let pixels: Vec<f32> = (0..64).map(|i| i as f32 / 64.0).collect();
     let mut wire = Vec::new();
-    write_request(&mut wire, 1, [1, 8, 8], &pixels).unwrap();
+    write_request_v3(&mut wire, 1, 0, 0, [1, 8, 8], &pixels).unwrap();
 
     let mut decoder = FrameDecoder::new();
     decoder.feed(&wire).unwrap();
@@ -229,7 +226,7 @@ fn buffer_is_reused_across_frames_without_reallocation_churn() {
     decoder.take_frame();
     for round in 0..100 {
         let mut frame = Vec::new();
-        write_request(&mut frame, round, [1, 8, 8], &pixels).unwrap();
+        write_request_v3(&mut frame, round, 0, 0, [1, 8, 8], &pixels).unwrap();
         let mut remaining = frame.as_slice();
         while !remaining.is_empty() {
             let consumed = decoder.feed(remaining).unwrap();

@@ -11,9 +11,9 @@ use sc_nn::tensor::Tensor;
 use sc_serve::batch::BatchPolicy;
 use sc_serve::engine::{Engine, EngineOptions};
 use sc_serve::plan::PlanOptions;
-use sc_serve::proto::{read_response, write_request, write_request_v2, Response};
+use sc_serve::proto::{read_response, write_request_v2, write_request_v3, Response};
 use sc_serve::server::{spawn, spawn_multi, ServerOptions, SHUTTING_DOWN_MESSAGE};
-use std::io::BufReader;
+use std::io::{BufReader, ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
@@ -77,7 +77,7 @@ fn loopback_round_trip_matches_direct_inference() {
     // Pipeline several requests, then read all replies.
     let images: Vec<Tensor> = (0..5).map(test_image).collect();
     for (id, image) in images.iter().enumerate() {
-        write_request(&mut writer, id as u64, [1, 4, 4], image.as_slice()).unwrap();
+        write_request_v3(&mut writer, id as u64, 0, 0, [1, 4, 4], image.as_slice()).unwrap();
     }
     let mut responses = Vec::new();
     for _ in 0..images.len() {
@@ -99,7 +99,7 @@ fn loopback_round_trip_matches_direct_inference() {
 
     // A malformed request (wrong element count for the plan) gets an error
     // reply instead of killing the connection.
-    write_request(&mut writer, 99, [1, 2, 2], &[0.0; 4]).unwrap();
+    write_request_v3(&mut writer, 99, 0, 0, [1, 2, 2], &[0.0; 4]).unwrap();
     match read_response(&mut reader).unwrap().expect("error response") {
         Response::Err { id, message, .. } => {
             assert_eq!(id, 99);
@@ -112,6 +112,26 @@ fn loopback_round_trip_matches_direct_inference() {
     assert_eq!(report.completed, 5);
     assert_eq!(report.failed, 1);
     assert!(report.p99_ms >= report.p50_ms);
+
+    // A retired request layout (tag 0x01) behind a valid checksum is a
+    // protocol violation: the server closes the connection unanswered.
+    let mut wire = Vec::new();
+    write_request_v3(&mut wire, 100, 0, 0, [1, 4, 4], images[0].as_slice()).unwrap();
+    let mut payload = wire[4..wire.len() - 4].to_vec();
+    payload[0] = 0x01;
+    let mut retired = wire[..4].to_vec();
+    retired.extend_from_slice(&payload);
+    retired.extend_from_slice(&sc_serve::crc32::checksum(&payload).to_le_bytes());
+    writer.write_all(&retired).unwrap();
+    reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    match read_response(&mut reader) {
+        Ok(None) => {}
+        Err(error) if !matches!(error.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+        other => panic!("expected the connection to close, got {other:?}"),
+    }
 
     drop(writer);
     drop(reader);
@@ -148,14 +168,15 @@ fn multi_model_listener_serves_v1_and_v2_traffic() {
     let mut reader = BufReader::new(stream);
     let image = test_image(5);
 
-    // v1 frame → model 0; v2 frames address models explicitly.
-    write_request(&mut writer, 0, [1, 4, 4], image.as_slice()).unwrap();
-    write_request_v2(&mut writer, 1, 0, [1, 4, 4], image.as_slice()).unwrap();
-    write_request_v2(&mut writer, 2, 1, [1, 4, 4], image.as_slice()).unwrap();
+    // Request 0 goes through the deadline-free `write_request_v2` shorthand,
+    // the rest through the full writer; both emit the one request layout.
+    write_request_v2(&mut writer, 0, 0, [1, 4, 4], image.as_slice()).unwrap();
+    write_request_v3(&mut writer, 1, 0, 0, [1, 4, 4], image.as_slice()).unwrap();
+    write_request_v3(&mut writer, 2, 1, 0, [1, 4, 4], image.as_slice()).unwrap();
     // Unknown model id: an error reply, not a disconnect.
-    write_request_v2(&mut writer, 3, 9, [1, 4, 4], image.as_slice()).unwrap();
+    write_request_v3(&mut writer, 3, 9, 0, [1, 4, 4], image.as_slice()).unwrap();
     // The connection must still serve real models after the bad request.
-    write_request_v2(&mut writer, 4, 1, [1, 4, 4], image.as_slice()).unwrap();
+    write_request_v3(&mut writer, 4, 1, 0, [1, 4, 4], image.as_slice()).unwrap();
 
     let mut responses = Vec::new();
     for _ in 0..5 {
@@ -230,7 +251,7 @@ fn shutdown_answers_in_flight_requests_and_returns() {
             let stream = TcpStream::connect(addr).unwrap();
             let mut writer = stream.try_clone().unwrap();
             let mut reader = BufReader::new(stream);
-            write_request(&mut writer, 1, [1, 4, 4], image.as_slice()).unwrap();
+            write_request_v3(&mut writer, 1, 0, 0, [1, 4, 4], image.as_slice()).unwrap();
             // Blocks here until the drain answers; the old runtime would
             // hang forever if the request fell into the closed queue.
             let response = read_response(&mut reader).unwrap().expect("answer");
@@ -280,7 +301,7 @@ fn shutdown_closes_idle_connections_instead_of_leaking_readers() {
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
     let image = test_image(2);
-    write_request(&mut writer, 7, [1, 4, 4], image.as_slice()).unwrap();
+    write_request_v3(&mut writer, 7, 0, 0, [1, 4, 4], image.as_slice()).unwrap();
     assert!(matches!(
         read_response(&mut reader).unwrap().expect("response"),
         Response::Ok { id: 7, .. }
@@ -331,7 +352,7 @@ fn idle_read_timeout_reclaims_silent_connections_but_spares_active_ones() {
 
     let image = test_image(3);
     for id in 0..4u64 {
-        write_request(&mut active_writer, id, [1, 4, 4], image.as_slice()).unwrap();
+        write_request_v3(&mut active_writer, id, 0, 0, [1, 4, 4], image.as_slice()).unwrap();
         assert!(
             matches!(
                 read_response(&mut active_reader)
@@ -353,7 +374,7 @@ fn idle_read_timeout_reclaims_silent_connections_but_spares_active_ones() {
     );
 
     // The active connection is still healthy after the reaping.
-    write_request(&mut active_writer, 99, [1, 4, 4], image.as_slice()).unwrap();
+    write_request_v3(&mut active_writer, 99, 0, 0, [1, 4, 4], image.as_slice()).unwrap();
     assert!(matches!(
         read_response(&mut active_reader)
             .unwrap()
