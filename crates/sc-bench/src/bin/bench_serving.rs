@@ -62,7 +62,6 @@ use sc_nn::dataset::SyntheticDigits;
 use sc_nn::lenet::{tiny_lenet, PoolingStyle};
 use sc_nn::network::TrainingOptions;
 use sc_nn::tensor::Tensor;
-use sc_serve::batch::BatchPolicy;
 use sc_serve::engine::{Engine, EngineOptions};
 use sc_serve::interpreter::Inference;
 use sc_serve::plan_store::{load_plan, save_plan};
@@ -326,20 +325,7 @@ fn bench_router(
 
     let replica = |engines: &[Arc<Engine>]| -> ServerHandle {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind replica");
-        spawn_multi(
-            engines.to_vec(),
-            listener,
-            ServerOptions {
-                policy: BatchPolicy {
-                    max_batch: 16,
-                    max_linger: Duration::from_millis(2),
-                    ..BatchPolicy::default()
-                },
-                workers: 0,
-                ..ServerOptions::default()
-            },
-        )
-        .expect("spawn replica")
+        spawn_multi(engines.to_vec(), listener, ServerOptions::default()).expect("spawn replica")
     };
     let replica_a = replica(&engines);
     let replica_b = replica(&engines);
@@ -514,15 +500,11 @@ fn bench_concurrency(stream_length: usize, ladder: &[(usize, usize)]) -> Vec<Con
             vec![Arc::clone(&engine)],
             listener,
             ServerOptions {
-                policy: BatchPolicy {
-                    max_batch: 16,
-                    max_linger: Duration::from_millis(2),
-                    // Headroom over the deepest rung: a closed-loop client
-                    // holds one request in flight, so the queue never sees
-                    // more than `connections` — sheds would dirty the
-                    // zero-lost-requests contract.
-                    max_queue: 4096,
-                },
+                // Headroom over the deepest rung: a closed-loop client
+                // holds one request in flight, so the queue never sees
+                // more than `connections` — sheds would dirty the
+                // zero-lost-requests contract.
+                max_queue: 4096,
                 workers: 0,
                 ..ServerOptions::default()
             },
@@ -688,13 +670,9 @@ fn bench_overload(stream_length: usize, offered: u64) -> OverloadBenchRun {
         vec![Arc::clone(&engine)],
         listener,
         ServerOptions {
-            policy: BatchPolicy {
-                max_batch: 1,
-                max_linger: Duration::from_millis(1),
-                // Shallow queue: depth is latency, so overload protection
-                // sheds early instead of building a backlog.
-                max_queue: 4,
-            },
+            // Shallow queue: depth is latency, so overload protection
+            // sheds early instead of building a backlog.
+            max_queue: 4,
             workers: 1,
             ..ServerOptions::default()
         },

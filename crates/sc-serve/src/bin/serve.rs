@@ -4,7 +4,7 @@
 //! # single model (requests address model 0):
 //! cargo run --release -p sc-serve --bin serve -- \
 //!     --addr 127.0.0.1:7878 --config no1 --stream-length 1024 \
-//!     --max-batch 32 --linger-us 2000 --train-per-class 20 --epochs 2
+//!     --max-queue 1024 --train-per-class 20 --epochs 2
 //!
 //! # multi-model: one listener, N engines; model i of a request frame
 //! # selects the i-th --model-config:
@@ -36,7 +36,6 @@ use sc_nn::dataset::SyntheticDigits;
 use sc_nn::lenet::{tiny_lenet, PoolingStyle};
 use sc_nn::network::TrainingOptions;
 use sc_serve::admin::spawn_admin;
-use sc_serve::batch::BatchPolicy;
 use sc_serve::engine::{Engine, EngineOptions};
 use sc_serve::obs::{TraceLog, TraceSampler};
 use sc_serve::plan_store::{load_plan, save_plan};
@@ -52,8 +51,6 @@ struct Args {
     save_plans: Option<String>,
     load_plans: Vec<String>,
     stream_length: usize,
-    max_batch: usize,
-    linger_us: u64,
     max_queue: usize,
     idle_timeout_ms: u64,
     slow_ms: u64,
@@ -74,8 +71,6 @@ fn parse_args() -> Args {
         save_plans: None,
         load_plans: Vec::new(),
         stream_length: 1024,
-        max_batch: 32,
-        linger_us: 2000,
         max_queue: 1024,
         idle_timeout_ms: 60_000,
         slow_ms: 0,
@@ -113,8 +108,6 @@ fn parse_args() -> Args {
             "--stream-length" => {
                 args.stream_length = value("--stream-length").parse().expect("stream length")
             }
-            "--max-batch" => args.max_batch = value("--max-batch").parse().expect("max batch"),
-            "--linger-us" => args.linger_us = value("--linger-us").parse().expect("linger"),
             "--max-queue" => args.max_queue = value("--max-queue").parse().expect("max queue"),
             "--idle-timeout-ms" => {
                 args.idle_timeout_ms = value("--idle-timeout-ms").parse().expect("idle timeout")
@@ -259,11 +252,7 @@ fn main() {
         engines,
         listener,
         ServerOptions {
-            policy: BatchPolicy {
-                max_batch: args.max_batch,
-                max_linger: Duration::from_micros(args.linger_us),
-                max_queue: args.max_queue,
-            },
+            max_queue: args.max_queue,
             workers: args.workers,
             idle_timeout: Duration::from_millis(args.idle_timeout_ms),
             compute_delay: Duration::from_millis(args.slow_ms),

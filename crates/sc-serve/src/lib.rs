@@ -1,6 +1,6 @@
 //! # sc-serve
 //!
-//! Compiled SC inference engine and batched request-serving runtime for the
+//! Compiled SC inference engine and request-serving runtime for the
 //! SC-DCNN reproduction.
 //!
 //! The experiment harness evaluates SC networks one feature-extraction block
@@ -19,8 +19,8 @@
 //!   [`sc_core::cache::StreamCache`], fused stream-level kernels. Bit-exact
 //!   with the interpreter (property-tested, and enforceable at runtime via
 //!   `verify_against_interpreter`).
-//! * [`batch`] / [`server`] / [`proto`] / [`metrics`] — the serving runtime:
-//!   a micro-batching scheduler, a std-only length-prefixed TCP protocol
+//! * [`queue`] / [`server`] / [`proto`] / [`metrics`] — the serving runtime:
+//!   a bounded FIFO request queue, a std-only length-prefixed TCP protocol
 //!   (`serve` / `client` binaries) whose request frames address one of several
 //!   models hosted behind a single listener, and throughput /
 //!   latency-percentile metrics.
@@ -72,7 +72,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod admin;
-pub mod batch;
 pub mod crc32;
 pub mod engine;
 pub mod error;
@@ -83,6 +82,7 @@ pub mod obs;
 pub mod plan;
 pub mod plan_store;
 pub mod proto;
+pub mod queue;
 pub mod reactor;
 pub mod router;
 pub mod server;
@@ -95,7 +95,6 @@ pub use plan::{Plan, PlanOptions};
 /// Convenient glob-import of the most commonly used items.
 pub mod prelude {
     pub use crate::admin::{scrape, spawn_admin, AdminHandle};
-    pub use crate::batch::{BatchPolicy, BatchQueue, PushRefusal};
     pub use crate::engine::{Engine, EngineOptions, Session};
     pub use crate::error::ServeError;
     pub use crate::fault::{FaultKind, FaultProxy, FaultyStream};
@@ -105,6 +104,7 @@ pub mod prelude {
     pub use crate::plan::{lower, Plan, PlanOptions};
     pub use crate::plan_store::{load_plan, save_plan, LoadedPlan};
     pub use crate::proto::ErrorCode;
+    pub use crate::queue::{PushRefusal, RequestQueue};
     pub use crate::router::{
         spawn_router, spawn_router_observed, RouterHandle, RouterOptions, RouterStats,
     };

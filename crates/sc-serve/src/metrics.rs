@@ -16,17 +16,18 @@ use std::time::{Duration, Instant};
 ///
 /// Each stage gets its own latency histogram in [`Metrics`], so a latency
 /// budget can be attributed: time spent waiting for a worker
-/// ([`QueueWait`](Stage::QueueWait)), waiting behind batchmates
-/// ([`Linger`](Stage::Linger)), generating or fetching SNG input streams
+/// ([`QueueWait`](Stage::QueueWait)), between the worker's pop and compute
+/// start ([`Linger`](Stage::Linger)), generating or fetching SNG input streams
 /// ([`CacheFill`](Stage::CacheFill)), computing ([`Compute`](Stage::Compute)),
 /// and shipping the reply bytes ([`WriteBack`](Stage::WriteBack)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Enqueue → the worker pops the batch containing the request (includes
-    /// micro-batch formation linger inside the queue).
+    /// Enqueue → a worker pops the request (includes waiting behind the
+    /// requests queued before it).
     QueueWait,
-    /// Batch pop → this request's compute starts (waiting behind earlier
-    /// batchmates, plus any injected compute delay).
+    /// Pop → this request's compute starts: the injected compute delay
+    /// plus the deadline check, so near zero on a healthy replica. It stays
+    /// a stage of its own because dashboards and the benchmark read it.
     Linger,
     /// Time inside the engine spent acquiring input bit-streams (stream
     /// cache lookups plus SNG fills on miss); a sub-span of

@@ -13,7 +13,7 @@
 //! * [`WorkerStatsSlots`] — per-worker snapshots of engine
 //!   [`CacheStats`]/[`ArenaStats`]. Worker sessions are owned by worker
 //!   threads; each worker publishes its session stats into its slot after
-//!   every batch, and the registry sums the slots at scrape time.
+//!   every request, and the registry sums the slots at scrape time.
 //! * [`TraceSampler`] / [`TraceLog`] — a deterministic per-request sampler
 //!   (seeded SplitMix64, the same generator the fault harness and retry
 //!   jitter use) feeding a JSONL trace sink. Sampling decisions depend only
@@ -340,8 +340,8 @@ pub fn register_request_metrics(registry: &MetricsRegistry, metrics: Arc<Metrics
 ///
 /// Worker [`crate::engine::Session`]s live inside their worker threads and
 /// cannot be read from a scrape; instead each worker writes its session's
-/// cache/arena stats here after every batch, so the registry reads values at
-/// most one batch stale.
+/// cache/arena stats here after every request, so the registry reads values
+/// at most one request stale.
 #[derive(Debug)]
 pub struct WorkerStatsSlots {
     slots: Vec<Mutex<(CacheStats, ArenaStats)>>,
@@ -472,7 +472,7 @@ pub struct TraceEvent {
     pub outcome: &'static str,
     /// Queue-wait span, microseconds.
     pub queue_us: u64,
-    /// In-batch linger span, microseconds.
+    /// Linger span (worker pop → compute start), microseconds.
     pub linger_us: u64,
     /// Input-stream cache lookup/fill span, microseconds.
     pub cache_fill_us: u64,

@@ -309,17 +309,33 @@ pub fn checked_shape_product(shape: [usize; 3]) -> Option<usize> {
     shape[0].checked_mul(shape[1])?.checked_mul(shape[2])
 }
 
-fn write_frame(writer: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > MAX_FRAME_BYTES {
-        return Err(invalid(format!(
-            "frame of {} bytes too large",
-            payload.len()
-        )));
+/// Length-prefix bytes in front of every frame's payload.
+const FRAME_LENGTH_BYTES: usize = 4;
+
+/// Starts a frame whose payload begins with `tag`, reserving the length
+/// prefix that [`write_frame`] fills in.
+fn start_frame(tag: u8, payload_capacity: usize) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(FRAME_LENGTH_BYTES + payload_capacity + FRAME_CRC_BYTES);
+    frame.extend_from_slice(&[0; FRAME_LENGTH_BYTES]);
+    frame.push(tag);
+    frame
+}
+
+/// Completes a frame begun by [`start_frame`] — length prefix in front,
+/// CRC-32 trailer behind — and sends it in a single write. Separate writes
+/// for length, payload and trailer would let Nagle's algorithm hold the
+/// later ones back until the peer's delayed ACK on a socket without
+/// `TCP_NODELAY`.
+fn write_frame(writer: &mut impl Write, mut frame: Vec<u8>) -> io::Result<()> {
+    let payload_len = frame.len() - FRAME_LENGTH_BYTES;
+    if payload_len > MAX_FRAME_BYTES {
+        return Err(invalid(format!("frame of {payload_len} bytes too large")));
     }
-    let length = (payload.len() + FRAME_CRC_BYTES) as u32;
-    writer.write_all(&length.to_le_bytes())?;
-    writer.write_all(payload)?;
-    writer.write_all(&crc32::checksum(payload).to_le_bytes())?;
+    let checksum = crc32::checksum(&frame[FRAME_LENGTH_BYTES..]);
+    let length = (payload_len + FRAME_CRC_BYTES) as u32;
+    frame[..FRAME_LENGTH_BYTES].copy_from_slice(&length.to_le_bytes());
+    frame.extend_from_slice(&checksum.to_le_bytes());
+    writer.write_all(&frame)?;
     writer.flush()
 }
 
@@ -535,19 +551,18 @@ pub fn write_request_v3(
             "shape {shape:?} describes a zero-length stream"
         )));
     }
-    let mut payload = Vec::with_capacity(8 + 8 + 6 + pixels.len() * 4);
-    payload.push(TAG_REQUEST);
-    payload.push(PROTOCOL_VERSION);
-    payload.extend_from_slice(&model.to_le_bytes());
-    payload.extend_from_slice(&deadline_ms.to_le_bytes());
-    payload.extend_from_slice(&id.to_le_bytes());
+    let mut frame = start_frame(TAG_REQUEST, 8 + 8 + 6 + pixels.len() * 4);
+    frame.push(PROTOCOL_VERSION);
+    frame.extend_from_slice(&model.to_le_bytes());
+    frame.extend_from_slice(&deadline_ms.to_le_bytes());
+    frame.extend_from_slice(&id.to_le_bytes());
     for dim in shape {
-        payload.extend_from_slice(&(dim as u16).to_le_bytes());
+        frame.extend_from_slice(&(dim as u16).to_le_bytes());
     }
     for pixel in pixels {
-        payload.extend_from_slice(&pixel.to_le_bytes());
+        frame.extend_from_slice(&pixel.to_le_bytes());
     }
-    write_frame(writer, &payload)
+    write_frame(writer, frame)
 }
 
 /// Serializes and sends a parsed request — its model and its deadline (by
@@ -573,10 +588,9 @@ pub fn forward_request(writer: &mut impl Write, request: &Request) -> io::Result
 ///
 /// Propagates I/O failures.
 pub fn write_ping(writer: &mut impl Write, nonce: u64) -> io::Result<()> {
-    let mut payload = Vec::with_capacity(9);
-    payload.push(TAG_PING);
-    payload.extend_from_slice(&nonce.to_le_bytes());
-    write_frame(writer, &payload)
+    let mut frame = start_frame(TAG_PING, 9);
+    frame.extend_from_slice(&nonce.to_le_bytes());
+    write_frame(writer, frame)
 }
 
 /// Sends the pong answering a health-probe ping.
@@ -585,10 +599,9 @@ pub fn write_ping(writer: &mut impl Write, nonce: u64) -> io::Result<()> {
 ///
 /// Propagates I/O failures.
 pub fn write_pong(writer: &mut impl Write, nonce: u64) -> io::Result<()> {
-    let mut payload = Vec::with_capacity(9);
-    payload.push(TAG_PONG);
-    payload.extend_from_slice(&nonce.to_le_bytes());
-    write_frame(writer, &payload)
+    let mut frame = start_frame(TAG_PONG, 9);
+    frame.extend_from_slice(&nonce.to_le_bytes());
+    write_frame(writer, frame)
 }
 
 /// Reads one pong frame and returns its nonce; `Ok(None)` on clean EOF.
@@ -626,8 +639,7 @@ pub fn decode_pong(payload: &[u8]) -> io::Result<u64> {
 ///
 /// Propagates I/O failures; rejects a load path longer than the cap.
 pub fn write_admin(writer: &mut impl Write, op: &AdminOp) -> io::Result<()> {
-    let mut payload = Vec::with_capacity(8);
-    payload.push(TAG_ADMIN);
+    let mut frame = start_frame(TAG_ADMIN, 8);
     match op {
         AdminOp::LoadModel { model, path } => {
             if path.len() > MAX_ADMIN_PATH_BYTES {
@@ -636,19 +648,19 @@ pub fn write_admin(writer: &mut impl Write, op: &AdminOp) -> io::Result<()> {
                     path.len()
                 )));
             }
-            payload.push(ADMIN_OP_LOAD);
-            payload.extend_from_slice(&model.to_le_bytes());
-            payload.extend_from_slice(&(path.len() as u16).to_le_bytes());
-            payload.extend_from_slice(path.as_bytes());
+            frame.push(ADMIN_OP_LOAD);
+            frame.extend_from_slice(&model.to_le_bytes());
+            frame.extend_from_slice(&(path.len() as u16).to_le_bytes());
+            frame.extend_from_slice(path.as_bytes());
         }
         AdminOp::UnloadModel { model } => {
-            payload.push(ADMIN_OP_UNLOAD);
-            payload.extend_from_slice(&model.to_le_bytes());
+            frame.push(ADMIN_OP_UNLOAD);
+            frame.extend_from_slice(&model.to_le_bytes());
         }
-        AdminOp::Drain => payload.push(ADMIN_OP_DRAIN),
-        AdminOp::Status => payload.push(ADMIN_OP_STATUS),
+        AdminOp::Drain => frame.push(ADMIN_OP_DRAIN),
+        AdminOp::Status => frame.push(ADMIN_OP_STATUS),
     }
-    write_frame(writer, &payload)
+    write_frame(writer, frame)
 }
 
 /// Parses an admin frame payload (as yielded by a [`FrameDecoder`]); the
@@ -702,18 +714,20 @@ pub fn write_admin_response(writer: &mut impl Write, response: &AdminResponse) -
             response.message.len()
         )));
     }
-    let mut payload = Vec::with_capacity(16 + 2 * response.models.len() + response.message.len());
-    payload.push(TAG_ADMIN_RESPONSE);
-    payload.push(u8::from(response.ok));
-    payload.push(u8::from(response.draining));
-    payload.extend_from_slice(&response.generation.to_le_bytes());
-    payload.extend_from_slice(&(response.models.len() as u16).to_le_bytes());
+    let mut frame = start_frame(
+        TAG_ADMIN_RESPONSE,
+        16 + 2 * response.models.len() + response.message.len(),
+    );
+    frame.push(u8::from(response.ok));
+    frame.push(u8::from(response.draining));
+    frame.extend_from_slice(&response.generation.to_le_bytes());
+    frame.extend_from_slice(&(response.models.len() as u16).to_le_bytes());
     for model in &response.models {
-        payload.extend_from_slice(&model.to_le_bytes());
+        frame.extend_from_slice(&model.to_le_bytes());
     }
-    payload.extend_from_slice(&(response.message.len() as u16).to_le_bytes());
-    payload.extend_from_slice(response.message.as_bytes());
-    write_frame(writer, &payload)
+    frame.extend_from_slice(&(response.message.len() as u16).to_le_bytes());
+    frame.extend_from_slice(response.message.as_bytes());
+    write_frame(writer, frame)
 }
 
 /// Reads one admin response; `Ok(None)` on clean EOF.
@@ -895,9 +909,8 @@ pub fn read_request(reader: &mut impl Read) -> io::Result<Option<Request>> {
 ///
 /// Propagates I/O failures.
 pub fn write_response(writer: &mut impl Write, response: &Response) -> io::Result<()> {
-    let mut payload = Vec::new();
-    payload.push(TAG_RESPONSE);
-    payload.extend_from_slice(&response.id().to_le_bytes());
+    let mut frame = start_frame(TAG_RESPONSE, 0);
+    frame.extend_from_slice(&response.id().to_le_bytes());
     match response {
         Response::Ok { argmax, logits, .. } => {
             // Reject before the `as u32` length cast can truncate: a logit
@@ -909,11 +922,11 @@ pub fn write_response(writer: &mut impl Write, response: &Response) -> io::Resul
                     logits.len()
                 )));
             }
-            payload.push(0);
-            payload.extend_from_slice(&argmax.to_le_bytes());
-            payload.extend_from_slice(&(logits.len() as u32).to_le_bytes());
+            frame.push(0);
+            frame.extend_from_slice(&argmax.to_le_bytes());
+            frame.extend_from_slice(&(logits.len() as u32).to_le_bytes());
             for logit in logits {
-                payload.extend_from_slice(&logit.to_le_bytes());
+                frame.extend_from_slice(&logit.to_le_bytes());
             }
         }
         Response::Err { code, message, .. } => {
@@ -923,12 +936,12 @@ pub fn write_response(writer: &mut impl Write, response: &Response) -> io::Resul
                     message.len()
                 )));
             }
-            payload.push(code.status());
-            payload.extend_from_slice(&(message.len() as u32).to_le_bytes());
-            payload.extend_from_slice(message.as_bytes());
+            frame.push(code.status());
+            frame.extend_from_slice(&(message.len() as u32).to_le_bytes());
+            frame.extend_from_slice(message.as_bytes());
         }
     }
-    write_frame(writer, &payload)
+    write_frame(writer, frame)
 }
 
 /// Reads one response; `Ok(None)` on clean EOF.
@@ -1144,6 +1157,82 @@ mod tests {
             assert_eq!(parsed.deadline_ms, deadline_ms);
             assert_eq!(parsed.pixels, pixels);
         }
+    }
+
+    /// A `Write` that records how many `write` calls each frame took.
+    #[derive(Default)]
+    struct CountingWriter {
+        wire: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.wire.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Runs one frame writer and asserts the frame left in a single
+    /// `write` that still carries a whole, checksummed frame.
+    fn assert_one_write(name: &str, write: impl FnOnce(&mut CountingWriter) -> io::Result<()>) {
+        let mut writer = CountingWriter::default();
+        write(&mut writer).unwrap();
+        assert_eq!(writer.writes, 1, "{name}: one write per frame");
+        let mut decoder = FrameDecoder::new();
+        assert_eq!(decoder.feed(&writer.wire).unwrap(), writer.wire.len());
+        assert!(decoder.frame().is_some(), "{name}: incomplete frame");
+    }
+
+    #[test]
+    fn every_frame_leaves_in_one_write() {
+        // Length, payload and CRC written separately are the
+        // write-write-read pattern that stalls on a delayed ACK when the
+        // socket runs with Nagle on.
+        assert_one_write("request", |w| {
+            write_request_v3(w, 1, 0, 0, [1, 2, 2], &[0.5; 4])
+        });
+        let request = Request {
+            id: 5,
+            model: 2,
+            deadline_ms: 250,
+            shape: [1, 2, 2],
+            pixels: vec![0.25; 4],
+        };
+        assert_one_write("forwarded request", |w| forward_request(w, &request));
+        let ok = Response::Ok {
+            id: 1,
+            argmax: 3,
+            logits: vec![0.1, 0.9],
+        };
+        assert_one_write("ok response", |w| write_response(w, &ok));
+        let err = Response::Err {
+            id: 1,
+            code: ErrorCode::Overloaded,
+            message: "queue full".into(),
+        };
+        assert_one_write("error response", |w| write_response(w, &err));
+        assert_one_write("ping", |w| write_ping(w, 7));
+        assert_one_write("pong", |w| write_pong(w, 7));
+        let load = AdminOp::LoadModel {
+            model: 1,
+            path: "model-1.scp".into(),
+        };
+        assert_one_write("admin load", |w| write_admin(w, &load));
+        assert_one_write("admin status", |w| write_admin(w, &AdminOp::Status));
+        let status = AdminResponse {
+            ok: true,
+            draining: false,
+            generation: 4,
+            models: vec![0, 1],
+            message: "loaded".into(),
+        };
+        assert_one_write("admin response", |w| write_admin_response(w, &status));
     }
 
     #[test]

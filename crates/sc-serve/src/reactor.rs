@@ -5,6 +5,7 @@
 //! reactors: every socket is switched to nonblocking mode, registered with a
 //! [`Poller`] under a caller-chosen token, and a single I/O thread waits for
 //! readiness events instead of parking one or two OS threads per connection.
+//! [`prepare_stream`] sets every such socket up the same way.
 //! Compute stays on the existing worker pool; workers hand results back
 //! through a completion queue and kick the I/O thread awake with a
 //! [`Waker`].
@@ -54,6 +55,22 @@ impl Interest {
     fn wants_write(self) -> bool {
         matches!(self, Interest::Write | Interest::ReadWrite)
     }
+}
+
+/// Puts a serving socket into the mode every event loop here expects:
+/// nonblocking, so a handler sees `WouldBlock` instead of parking the I/O
+/// thread, and `TCP_NODELAY`, so a frame written whole leaves at once
+/// instead of waiting for the peer's delayed ACK (Nagle's algorithm).
+///
+/// Used for every accepted client socket (`serve` and `route`) and every
+/// router→replica channel.
+///
+/// # Errors
+///
+/// Propagates the failing socket option call.
+pub fn prepare_stream(stream: &TcpStream) -> io::Result<()> {
+    stream.set_nonblocking(true)?;
+    stream.set_nodelay(true)
 }
 
 /// One readiness event from [`Poller::wait`].
@@ -410,8 +427,7 @@ impl Waker {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let writer = TcpStream::connect(listener.local_addr()?)?;
         let (reader, _) = listener.accept()?;
-        writer.set_nonblocking(true)?;
-        writer.set_nodelay(true)?;
+        prepare_stream(&writer)?;
         reader.set_nonblocking(true)?;
         Ok((
             Waker {

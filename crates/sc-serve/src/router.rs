@@ -1113,19 +1113,16 @@ impl RouterIo {
 
     /// Accepts until the listener runs dry.
     fn accept_ready(&mut self) {
-        use crate::reactor::Interest;
+        use crate::reactor::{prepare_stream, Interest};
         loop {
             let Some(listener) = self.listener.as_ref() else {
                 return;
             };
             match listener.accept() {
                 Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
+                    if prepare_stream(&stream).is_err() {
                         continue;
                     }
-                    // Replies are written as whole frames; Nagle would add
-                    // delayed-ACK latency to every small response.
-                    let _ = stream.set_nodelay(true);
                     let token = self.next_client_token;
                     self.next_client_token += 1;
                     if self
@@ -1443,13 +1440,10 @@ impl RouterIo {
     /// fails in microseconds on loopback, and a blackholed one stalls the
     /// loop at most once per breaker cooldown.
     fn connect_channel(&mut self, index: usize) -> io::Result<Channel> {
-        use crate::reactor::Interest;
+        use crate::reactor::{prepare_stream, Interest};
         let addr = self.shared.backends[index].addr;
         let stream = TcpStream::connect_timeout(&addr, self.shared.options.connect_timeout)?;
-        // Many small frames from many clients multiplex here; Nagle would
-        // batch them against the delayed-ACK clock.
-        stream.set_nodelay(true)?;
-        stream.set_nonblocking(true)?;
+        prepare_stream(&stream)?;
         self.poller
             .register(&stream, TOKEN_FIRST_CHANNEL + index as u64, Interest::Read)?;
         Ok(Channel {

@@ -1,11 +1,11 @@
-//! TCP serving runtime: event-loop I/O front → micro-batches → engine
+//! TCP serving runtime: event-loop I/O front → request queue → engine
 //! workers.
 //!
 //! Architecture (all std threads, no external dependencies):
 //!
 //! ```text
 //!            ┌────────────── one I/O thread ──────────────┐
-//! sockets ──►│ reactor poll → per-connection state machine │──► BatchQueue ──► worker 0..N
+//! sockets ──►│ reactor poll → per-connection state machine │──► RequestQueue ──► worker 0..N
 //!            │   (read → parse → enqueue → write-back)     │◄── completion queue + waker
 //!            └─────────────────────────────────────────────┘
 //! ```
@@ -21,11 +21,11 @@
 //!
 //! One listener serves **N compiled engines** (multi-model serving): each
 //! worker owns one long-lived [`Session`] *per model*, so every model's
-//! input-stream cache stays warm across batches regardless of how traffic
-//! interleaves. Requests address a model through the request frame's
-//! `model` field. A slow client never blocks inference:
-//! its responses accumulate in its output buffer (bounded by the write
-//! timeout), not on a worker.
+//! input-stream cache stays warm across requests regardless of how traffic
+//! interleaves. A worker pops one request, serves it and pops the next.
+//! Requests address a model through the request frame's `model` field. A
+//! slow client never blocks inference: its responses accumulate in its
+//! output buffer (bounded by the write timeout), not on a worker.
 //!
 //! ## Graceful shutdown
 //!
@@ -39,7 +39,7 @@
 //!
 //! ## Overload protection
 //!
-//! The same answer-or-refuse contract holds under load: when the batch
+//! The same answer-or-refuse contract holds under load: when the request
 //! queue reaches its `max_queue` depth, new requests are *shed* with a
 //! retriable [`ErrorCode::Overloaded`] reply instead of queueing unboundedly
 //! (queue depth is tail latency). Requests may carry a protocol-v3
@@ -54,7 +54,6 @@
 //! [`Session`]: crate::engine::Session
 //! [`FrameDecoder`]: crate::proto::FrameDecoder
 
-use crate::batch::{BatchPolicy, BatchQueue, PushRefusal};
 use crate::engine::{Engine, Session};
 use crate::metrics::{Metrics, Stage};
 use crate::obs::{
@@ -65,7 +64,8 @@ use crate::proto::{
     checked_shape_product, decode_message, write_admin_response, write_pong, write_response,
     AdminOp, AdminResponse, ErrorCode, FrameDecoder, Message, Request, Response,
 };
-use crate::reactor::{Event, Interest, Poller, WakeReceiver, Waker};
+use crate::queue::{PushRefusal, RequestQueue};
+use crate::reactor::{prepare_stream, Event, Interest, Poller, WakeReceiver, Waker};
 use sc_nn::tensor::Tensor;
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -104,9 +104,9 @@ const TOKEN_FIRST_CONN: u64 = 2;
 /// Serving-runtime options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerOptions {
-    /// Micro-batch formation policy (including the `max_queue` admission
-    /// cap).
-    pub policy: BatchPolicy,
+    /// Maximum requests waiting for a worker before new ones are shed
+    /// with [`ErrorCode::Overloaded`] (floored at one).
+    pub max_queue: usize,
     /// Number of inference workers (`0` = `sc_core::parallel::max_threads()`).
     pub workers: usize,
     /// How long a connection may sit idle (no bytes from the client) before
@@ -121,7 +121,7 @@ pub struct ServerOptions {
 impl Default for ServerOptions {
     fn default() -> Self {
         Self {
-            policy: BatchPolicy::default(),
+            max_queue: 1024,
             workers: 0,
             idle_timeout: Duration::from_secs(60),
             compute_delay: Duration::ZERO,
@@ -307,7 +307,7 @@ pub(crate) struct Job {
 /// Handle to a running server.
 pub struct ServerHandle {
     addr: SocketAddr,
-    queue: Arc<BatchQueue<Job>>,
+    queue: Arc<RequestQueue<Job>>,
     metrics: Arc<Metrics>,
     metrics_registry: Arc<MetricsRegistry>,
     stop: Arc<AtomicBool>,
@@ -516,7 +516,7 @@ pub fn spawn_multi_observed(
         ));
     }
     let addr = listener.local_addr()?;
-    let queue = Arc::new(BatchQueue::<Job>::new(options.policy));
+    let queue = Arc::new(RequestQueue::<Job>::new(options.max_queue));
     let metrics = Arc::new(Metrics::new());
     let stop = Arc::new(AtomicBool::new(false));
     let halt = Arc::new(AtomicBool::new(false));
@@ -685,7 +685,7 @@ struct IoLoop {
     completions: Arc<Completions>,
     conns: HashMap<u64, Conn>,
     next_token: u64,
-    queue: Arc<BatchQueue<Job>>,
+    queue: Arc<RequestQueue<Job>>,
     metrics: Arc<Metrics>,
     registry: Arc<ModelRegistry>,
     idle_timeout: Duration,
@@ -700,7 +700,7 @@ impl IoLoop {
     #[allow(clippy::too_many_arguments)]
     fn build(
         listener: TcpListener,
-        queue: Arc<BatchQueue<Job>>,
+        queue: Arc<RequestQueue<Job>>,
         metrics: Arc<Metrics>,
         registry: Arc<ModelRegistry>,
         idle_timeout: Duration,
@@ -799,7 +799,7 @@ impl IoLoop {
             };
             match listener.accept() {
                 Ok((stream, peer)) => {
-                    if stream.set_nonblocking(true).is_err() {
+                    if prepare_stream(&stream).is_err() {
                         continue;
                     }
                     let peer_is_loopback = peer.ip().is_loopback();
@@ -904,7 +904,7 @@ impl IoLoop {
     fn dispatch_frame(
         conn: &mut Conn,
         token: u64,
-        queue: &BatchQueue<Job>,
+        queue: &RequestQueue<Job>,
         metrics: &Metrics,
         registry: &ModelRegistry,
         completions: &Arc<Completions>,
@@ -1182,7 +1182,7 @@ impl IoLoop {
 /// warm [`Session`] per hosted model.
 ///
 /// `refresh` is the cheap steady-state path: one atomic generation read per
-/// batch, and only when the generation moved does it re-snapshot the slots
+/// request, and only when the generation moved does it re-snapshot the slots
 /// — keeping the warm session of every engine that survived the change
 /// (`Arc::ptr_eq`), so loading model 3 never cools model 0's cache.
 struct WorkerModels {
@@ -1231,8 +1231,8 @@ impl WorkerModels {
     }
 }
 
-/// Worker loop: pulls micro-batches and runs them through one warm session
-/// per model.
+/// Worker loop: pops one request at a time and serves it through the warm
+/// session of its model.
 ///
 /// A job whose deadline already passed is answered
 /// [`ErrorCode::DeadlineExceeded`] without touching the engine: the client
@@ -1241,10 +1241,13 @@ impl WorkerModels {
 /// `compute_delay` sleep (the fault harness's "slow replica" mode) runs
 /// before the deadline check so an injected slowdown expires deadlines the
 /// way a genuinely slow replica would.
+///
+/// Stage spans: `queue_wait` runs from enqueue to pop, `linger` from pop to
+/// compute start (the injected delay plus the deadline check).
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
     registry: &ModelRegistry,
-    queue: &BatchQueue<Job>,
+    queue: &RequestQueue<Job>,
     metrics: &Metrics,
     unit_fan_out: bool,
     compute_delay: Duration,
@@ -1253,86 +1256,82 @@ fn worker_loop(
     trace: Option<&TraceLog>,
 ) {
     let mut models = WorkerModels::new(registry, unit_fan_out);
-    while let Some(batch) = queue.pop_batch() {
-        // Pick up admin-driven registry changes at batch granularity: one
-        // atomic load when nothing changed, a slot re-snapshot when it did.
+    while let Some(job) = queue.pop() {
+        // Pick up admin-driven registry changes: one atomic load when
+        // nothing changed, a slot re-snapshot when it did.
         models.refresh(registry, unit_fan_out);
-        // Everything in this batch stopped queueing the moment it was
-        // popped; time spent after this point (delays, earlier batch
-        // members' compute) is per-job *linger*, not queue wait.
         let popped = Instant::now();
-        for job in batch {
-            let queue_wait = popped.saturating_duration_since(job.enqueued);
-            metrics.record_stage(Stage::QueueWait, queue_wait);
-            if !compute_delay.is_zero() {
-                std::thread::sleep(compute_delay);
-            }
-            if let Some(deadline) = job.deadline {
-                if Instant::now() >= deadline {
-                    metrics.record_expired();
-                    if let Some(trace) = trace {
-                        trace.emit(&TraceEvent {
-                            kind: "serve",
-                            id: job.request.id,
-                            model: job.request.model,
-                            outcome: "expired",
-                            queue_us: crate::metrics::as_micros(queue_wait),
-                            linger_us: crate::metrics::as_micros(popped.elapsed()),
-                            cache_fill_us: 0,
-                            compute_us: 0,
-                            total_us: crate::metrics::as_micros(job.enqueued.elapsed()),
-                        });
-                    }
-                    job.reply.send(Response::Err {
-                        id: job.request.id,
-                        code: ErrorCode::DeadlineExceeded,
-                        message: format!(
-                            "deadline of {} ms exceeded before compute started",
-                            job.request.deadline_ms
-                        ),
-                    });
-                    continue;
-                }
-            }
-            let compute_started = Instant::now();
-            let linger = compute_started.saturating_duration_since(popped);
-            metrics.record_stage(Stage::Linger, linger);
-            let response = serve_one(&models.engines, &mut models.sessions, &job.request);
-            let compute = compute_started.elapsed();
-            metrics.record_stage(Stage::Compute, compute);
-            // Only the session this request's model used accumulated any
-            // cache-fill time; draining all of them attributes it without
-            // re-deriving the model→session mapping here.
-            let cache_fill: Duration = models
-                .sessions
-                .iter_mut()
-                .flatten()
-                .map(crate::engine::Session::take_cache_fill)
-                .sum();
-            metrics.record_stage(Stage::CacheFill, cache_fill);
-            let failed = matches!(response, Response::Err { .. });
-            if failed {
-                metrics.record_failure();
-            } else {
-                metrics.record(job.enqueued.elapsed());
-            }
+        let queue_wait = popped.saturating_duration_since(job.enqueued);
+        metrics.record_stage(Stage::QueueWait, queue_wait);
+        if !compute_delay.is_zero() {
+            std::thread::sleep(compute_delay);
+        }
+        if job
+            .deadline
+            .is_some_and(|deadline| Instant::now() >= deadline)
+        {
+            metrics.record_expired();
             if let Some(trace) = trace {
                 trace.emit(&TraceEvent {
                     kind: "serve",
                     id: job.request.id,
                     model: job.request.model,
-                    outcome: if failed { "failed" } else { "ok" },
+                    outcome: "expired",
                     queue_us: crate::metrics::as_micros(queue_wait),
-                    linger_us: crate::metrics::as_micros(linger),
-                    cache_fill_us: crate::metrics::as_micros(cache_fill),
-                    compute_us: crate::metrics::as_micros(compute),
+                    linger_us: crate::metrics::as_micros(popped.elapsed()),
+                    cache_fill_us: 0,
+                    compute_us: 0,
                     total_us: crate::metrics::as_micros(job.enqueued.elapsed()),
                 });
             }
-            job.reply.send(response);
+            job.reply.send(Response::Err {
+                id: job.request.id,
+                code: ErrorCode::DeadlineExceeded,
+                message: format!(
+                    "deadline of {} ms exceeded before compute started",
+                    job.request.deadline_ms
+                ),
+            });
+            continue;
         }
-        // Publish this worker's engine stats once per batch — cheap, and at
-        // most one batch stale at scrape time.
+        let compute_started = Instant::now();
+        let linger = compute_started.saturating_duration_since(popped);
+        metrics.record_stage(Stage::Linger, linger);
+        let response = serve_one(&models.engines, &mut models.sessions, &job.request);
+        let compute = compute_started.elapsed();
+        metrics.record_stage(Stage::Compute, compute);
+        // Only the session this request's model used accumulated any
+        // cache-fill time; draining all of them attributes it without
+        // re-deriving the model→session mapping here.
+        let cache_fill: Duration = models
+            .sessions
+            .iter_mut()
+            .flatten()
+            .map(crate::engine::Session::take_cache_fill)
+            .sum();
+        metrics.record_stage(Stage::CacheFill, cache_fill);
+        let failed = matches!(response, Response::Err { .. });
+        if failed {
+            metrics.record_failure();
+        } else {
+            metrics.record(job.enqueued.elapsed());
+        }
+        if let Some(trace) = trace {
+            trace.emit(&TraceEvent {
+                kind: "serve",
+                id: job.request.id,
+                model: job.request.model,
+                outcome: if failed { "failed" } else { "ok" },
+                queue_us: crate::metrics::as_micros(queue_wait),
+                linger_us: crate::metrics::as_micros(linger),
+                cache_fill_us: crate::metrics::as_micros(cache_fill),
+                compute_us: crate::metrics::as_micros(compute),
+                total_us: crate::metrics::as_micros(job.enqueued.elapsed()),
+            });
+        }
+        job.reply.send(response);
+        // Publish this worker's engine stats after every reply — cheap, and
+        // at most one request stale at scrape time.
         let mut cache = sc_core::cache::CacheStats::default();
         let mut arena = sc_core::arena::ArenaStats::default();
         for session in models.sessions.iter().flatten() {
@@ -1578,6 +1577,43 @@ mod tests {
     }
 
     #[test]
+    fn accepted_connections_run_nonblocking_with_nodelay() {
+        // Replies are small frames written whole; with Nagle on, a reply to
+        // the router's multiplexed channel waits for the peer's delayed ACK.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let registry = Arc::new(ModelRegistry::new(vec![Arc::new(tiny_engine(1))]));
+        let (mut io_loop, _completions) = IoLoop::build(
+            listener,
+            Arc::new(RequestQueue::<Job>::new(1)),
+            Arc::new(Metrics::new()),
+            registry,
+            Duration::from_secs(5),
+            None,
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(AtomicBool::new(false)),
+        )
+        .unwrap();
+        let _client = TcpStream::connect(addr).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while io_loop.conns.is_empty() {
+            assert!(Instant::now() < deadline, "connection never accepted");
+            io_loop.accept_ready();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let conn = io_loop.conns.values().next().unwrap();
+        assert!(
+            conn.stream.nodelay().unwrap(),
+            "accepted socket has Nagle on"
+        );
+        let mut byte = [0u8; 1];
+        assert!(
+            is_would_block(&(&conn.stream).read(&mut byte).unwrap_err()),
+            "accepted socket must be nonblocking"
+        );
+    }
+
+    #[test]
     fn refused_request_gets_a_shutdown_reply_not_silence() {
         // Regression for the shutdown drop: a request read off the socket
         // after the queue closed must be answered with an explicit refusal —
@@ -1586,7 +1622,7 @@ mod tests {
         // queue (the draining state).
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let queue = Arc::new(BatchQueue::<Job>::new(BatchPolicy::default()));
+        let queue = Arc::new(RequestQueue::<Job>::new(1024));
         queue.close(); // the server is already draining
         let metrics = Arc::new(Metrics::new());
         let stop = Arc::new(AtomicBool::new(false));

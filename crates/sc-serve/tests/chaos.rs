@@ -25,7 +25,6 @@ use sc_nn::layers::Dense;
 use sc_nn::lenet::PoolingStyle;
 use sc_nn::network::Network;
 use sc_nn::tensor::Tensor;
-use sc_serve::batch::BatchPolicy;
 use sc_serve::engine::{Engine, EngineOptions};
 use sc_serve::fault::{FaultKind, FaultProxy};
 use sc_serve::plan::PlanOptions;
@@ -77,11 +76,6 @@ fn quick_replica(engine: &Arc<Engine>) -> ServerHandle {
     replica(
         engine,
         ServerOptions {
-            policy: BatchPolicy {
-                max_batch: 4,
-                max_linger: Duration::from_millis(1),
-                ..BatchPolicy::default()
-            },
             workers: 1,
             ..ServerOptions::default()
         },
@@ -304,11 +298,6 @@ fn slow_replica_answers_deadline_exceeded_not_silence() {
     let handle = replica(
         &engine,
         ServerOptions {
-            policy: BatchPolicy {
-                max_batch: 1,
-                max_linger: Duration::from_millis(1),
-                ..BatchPolicy::default()
-            },
             workers: 1,
             compute_delay: Duration::from_millis(200),
             ..ServerOptions::default()
@@ -357,11 +346,6 @@ fn router_bounds_a_deadline_request_against_a_slow_replica() {
     let handle = replica(
         &engine,
         ServerOptions {
-            policy: BatchPolicy {
-                max_batch: 1,
-                max_linger: Duration::from_millis(1),
-                ..BatchPolicy::default()
-            },
             workers: 1,
             compute_delay: Duration::from_millis(400),
             ..ServerOptions::default()
@@ -416,11 +400,7 @@ fn overload_sheds_typed_errors_and_loses_nothing() {
     let handle = replica(
         &engine,
         ServerOptions {
-            policy: BatchPolicy {
-                max_batch: 1,
-                max_linger: Duration::from_millis(1),
-                max_queue: 1,
-            },
+            max_queue: 1,
             workers: 1,
             compute_delay: Duration::from_millis(40),
             ..ServerOptions::default()

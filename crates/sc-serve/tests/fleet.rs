@@ -18,7 +18,6 @@ use sc_nn::layers::Dense;
 use sc_nn::lenet::PoolingStyle;
 use sc_nn::network::Network;
 use sc_nn::tensor::Tensor;
-use sc_serve::batch::BatchPolicy;
 use sc_serve::engine::{Engine, EngineOptions};
 use sc_serve::plan::PlanOptions;
 use sc_serve::plan_store::{load_plan, save_plan};
@@ -30,7 +29,7 @@ use sc_serve::server::{bind_reusable, spawn_multi, ServerHandle, ServerOptions};
 use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -91,11 +90,6 @@ fn replica_on(listener: TcpListener, engines: Vec<Arc<Engine>>) -> ServerHandle 
         engines,
         listener,
         ServerOptions {
-            policy: BatchPolicy {
-                max_batch: 4,
-                max_linger: Duration::from_millis(1),
-                ..BatchPolicy::default()
-            },
             workers: 1,
             ..ServerOptions::default()
         },
@@ -333,8 +327,6 @@ fn spawn_serve_child(plan: &Path) -> (std::process::Child, SocketAddr) {
             "127.0.0.1:0",
             "--load-plan",
             plan.to_str().expect("plan path"),
-            "--linger-us",
-            "500",
             "--workers",
             "1",
         ])
@@ -408,9 +400,11 @@ fn sigkill_mid_load_loses_no_request_and_trips_the_breaker_once() {
     let router_addr = router.addr();
 
     const REQUESTS: u64 = 150;
+    let answered = Arc::new(AtomicU64::new(0));
     let clients: Vec<_> = (0..2u64)
         .map(|client| {
             let expected = expected.clone();
+            let answered = Arc::clone(&answered);
             std::thread::spawn(move || {
                 let stream = TcpStream::connect(router_addr).expect("connect router");
                 stream
@@ -432,6 +426,7 @@ fn sigkill_mid_load_loses_no_request_and_trips_the_breaker_once() {
                                 logits, expected,
                                 "request {id} must stay bit-exact across the kill"
                             );
+                            answered.fetch_add(1, Ordering::SeqCst);
                         }
                         Some(Response::Err { message, .. }) => {
                             panic!("request {id} errored: {message}")
@@ -444,8 +439,14 @@ fn sigkill_mid_load_loses_no_request_and_trips_the_breaker_once() {
         .collect();
 
     // SIGKILL replica A mid-load: no drain, no graceful flush — its
-    // in-flight exchanges die mid-write.
-    std::thread::sleep(Duration::from_millis(100));
+    // in-flight exchanges die mid-write. The kill waits for a third of the
+    // answers rather than a fixed sleep, so two thirds of the load is still
+    // to come however fast the stack serves.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while answered.load(Ordering::SeqCst) < 2 * REQUESTS / 3 {
+        assert!(Instant::now() < deadline, "load never got going");
+        std::thread::sleep(Duration::from_millis(1));
+    }
     child_a.kill().expect("SIGKILL replica A");
     child_a.wait().expect("reap replica A");
 

@@ -9,7 +9,6 @@ use sc_nn::layers::Dense;
 use sc_nn::lenet::PoolingStyle;
 use sc_nn::network::Network;
 use sc_nn::tensor::Tensor;
-use sc_serve::batch::BatchPolicy;
 use sc_serve::engine::{Engine, EngineOptions};
 use sc_serve::plan::PlanOptions;
 use sc_serve::proto::{read_response, write_request_v3, Response};
@@ -17,8 +16,9 @@ use sc_serve::router::{spawn_router, RouterHandle, RouterOptions};
 use sc_serve::server::{spawn_multi, ServerHandle, ServerOptions};
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A small dense engine; different base seeds give bit-distinguishable
 /// models.
@@ -61,11 +61,6 @@ fn replica(engines: &[Arc<Engine>; 2]) -> ServerHandle {
         engines.to_vec(),
         listener,
         ServerOptions {
-            policy: BatchPolicy {
-                max_batch: 4,
-                max_linger: Duration::from_millis(1),
-                ..BatchPolicy::default()
-            },
             workers: 1,
             ..ServerOptions::default()
         },
@@ -209,9 +204,11 @@ fn replica_kill_mid_load_loses_no_request() {
     };
 
     const REQUESTS: usize = 30;
+    let answered = Arc::new(AtomicUsize::new(0));
     let clients: Vec<_> = (0..2)
         .map(|client| {
             let expected = expected.clone();
+            let answered = Arc::clone(&answered);
             std::thread::spawn(move || {
                 let stream = TcpStream::connect(addr).expect("connect router");
                 stream
@@ -235,6 +232,7 @@ fn replica_kill_mid_load_loses_no_request() {
                                 expected[usize::from(model)],
                                 "request {id} must stay bit-exact across the kill"
                             );
+                            answered.fetch_add(1, Ordering::SeqCst);
                         }
                         Some(Response::Err { message, .. }) => {
                             panic!("request {id} errored: {message}")
@@ -246,8 +244,12 @@ fn replica_kill_mid_load_loses_no_request() {
         })
         .collect();
 
-    // Let some requests flow, then kill replica A mid-load.
-    std::thread::sleep(Duration::from_millis(100));
+    // Let a third of the requests flow, then kill replica A mid-load.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while answered.load(Ordering::SeqCst) < 2 * REQUESTS / 3 {
+        assert!(Instant::now() < deadline, "load never got going");
+        std::thread::sleep(Duration::from_millis(1));
+    }
     replica_a.shutdown();
 
     for client in clients {

@@ -8,7 +8,6 @@ use sc_nn::layers::Dense;
 use sc_nn::lenet::PoolingStyle;
 use sc_nn::network::Network;
 use sc_nn::tensor::Tensor;
-use sc_serve::batch::BatchPolicy;
 use sc_serve::engine::{Engine, EngineOptions};
 use sc_serve::plan::PlanOptions;
 use sc_serve::proto::{read_response, write_request_v2, write_request_v3, Response};
@@ -59,11 +58,6 @@ fn loopback_round_trip_matches_direct_inference() {
         Arc::clone(&engine),
         listener,
         ServerOptions {
-            policy: BatchPolicy {
-                max_batch: 4,
-                max_linger: Duration::from_millis(1),
-                ..BatchPolicy::default()
-            },
             workers: 2,
             ..ServerOptions::default()
         },
@@ -151,11 +145,6 @@ fn multi_model_listener_serves_v1_and_v2_traffic() {
         engines.clone(),
         listener,
         ServerOptions {
-            policy: BatchPolicy {
-                max_batch: 4,
-                max_linger: Duration::from_millis(1),
-                ..BatchPolicy::default()
-            },
             workers: 1,
             ..ServerOptions::default()
         },
@@ -218,66 +207,74 @@ fn multi_model_listener_serves_v1_and_v2_traffic() {
 
 #[test]
 fn shutdown_answers_in_flight_requests_and_returns() {
-    // Regression for the shutdown drop: a request that is already queued
-    // (the worker is lingering for a fuller batch) when `shutdown()` is
-    // called must still be answered, and `shutdown()` must return without
-    // waiting for the client to disconnect.
+    // Regression for the shutdown drop: requests already accepted when
+    // `shutdown()` is called — one held in the worker by the injected
+    // compute delay, one queued behind it — must still be answered, and
+    // `shutdown()` must return without waiting for the client to disconnect.
     let engine = Arc::new(quick_engine());
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let handle = spawn(
         Arc::clone(&engine),
         listener,
         ServerOptions {
-            policy: BatchPolicy {
-                max_batch: 8,
-                // Long linger: without shutdown breaking the wait, the reply
-                // would take 10 s — the test would time out if drain relied
-                // on the linger expiring.
-                max_linger: Duration::from_secs(10),
-                ..BatchPolicy::default()
-            },
             workers: 1,
+            // Long enough that request 2 is still queued when shutdown
+            // closes the queue: the drain, not the delay, must answer it.
+            compute_delay: Duration::from_millis(300),
             ..ServerOptions::default()
         },
     )
     .unwrap();
     let addr = handle.addr();
 
-    let image = test_image(9);
-    let expected = engine.infer(&mut engine.new_session(), &image).unwrap();
+    let images = [test_image(9), test_image(10)];
+    let expected: Vec<_> = images
+        .iter()
+        .map(|image| engine.infer(&mut engine.new_session(), image).unwrap())
+        .collect();
     let client = {
-        let image = image.clone();
+        let images = images.clone();
         std::thread::spawn(move || {
             let stream = TcpStream::connect(addr).unwrap();
             let mut writer = stream.try_clone().unwrap();
             let mut reader = BufReader::new(stream);
-            write_request_v3(&mut writer, 1, 0, 0, [1, 4, 4], image.as_slice()).unwrap();
+            for (id, image) in (1..).zip(&images) {
+                write_request_v3(&mut writer, id, 0, 0, [1, 4, 4], image.as_slice()).unwrap();
+            }
             // Blocks here until the drain answers; the old runtime would
-            // hang forever if the request fell into the closed queue.
-            let response = read_response(&mut reader).unwrap().expect("answer");
+            // hang forever if a request fell into the closed queue.
+            let responses: Vec<Response> = (0..images.len())
+                .map(|_| read_response(&mut reader).unwrap().expect("answer"))
+                .collect();
             // After shutdown the socket is closed: clean EOF, not a hang.
             let eof = read_response(&mut reader).unwrap();
-            (response, eof)
+            (responses, eof)
         })
     };
-    // Let the request reach the queue (the worker lingers on it).
+    // Let request 1 reach the worker (its compute delay is running) and
+    // request 2 reach the queue behind it.
     std::thread::sleep(Duration::from_millis(150));
     handle.shutdown();
-    let (response, eof) = client.join().unwrap();
-    match response {
-        Response::Ok { id, logits, .. } => {
-            assert_eq!(id, 1);
-            assert_eq!(
-                logits, expected.logits,
-                "drained reply must be a real answer"
-            );
-        }
-        Response::Err { message, .. } => {
-            // Acceptable only as an explicit refusal — never silence. (With
-            // the 150 ms head start the request is normally already queued
-            // and gets served; a heavily loaded machine may race it into
-            // the refusal window instead.)
-            assert_eq!(message, SHUTTING_DOWN_MESSAGE);
+    let (responses, eof) = client.join().unwrap();
+    let mut ids: Vec<u64> = responses.iter().map(Response::id).collect();
+    ids.sort_unstable();
+    assert_eq!(ids, vec![1, 2], "every accepted request gets one reply");
+    for response in responses {
+        match response {
+            Response::Ok { id, logits, .. } => {
+                assert_eq!(
+                    logits,
+                    expected[id as usize - 1].logits,
+                    "drained reply must be a real answer"
+                );
+            }
+            Response::Err { message, .. } => {
+                // Acceptable only as an explicit refusal — never silence.
+                // (With the 150 ms head start both requests are normally
+                // accepted and served; a heavily loaded machine may race
+                // them into the refusal window instead.)
+                assert_eq!(message, SHUTTING_DOWN_MESSAGE);
+            }
         }
     }
     assert!(eof.is_none(), "shutdown must close the connection socket");

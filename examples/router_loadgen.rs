@@ -27,7 +27,6 @@ use sc_dcnn_repro::dcnn::config::ScNetworkConfig;
 use sc_dcnn_repro::nn::dataset::SyntheticDigits;
 use sc_dcnn_repro::nn::lenet::{tiny_lenet, PoolingStyle};
 use sc_dcnn_repro::serve::admin::{scrape, spawn_admin};
-use sc_dcnn_repro::serve::batch::BatchPolicy;
 use sc_dcnn_repro::serve::engine::{Engine, EngineOptions};
 use sc_dcnn_repro::serve::fault::{FaultKind, FaultProxy};
 use sc_dcnn_repro::serve::proto::{read_response, write_request_v3, Response};
@@ -70,29 +69,15 @@ fn arg_str(name: &str, default: &str) -> String {
         .unwrap_or_else(|| default.to_string())
 }
 
-fn replica(engines: &[Arc<Engine>], max_batch: usize) -> ServerHandle {
+fn replica(engines: &[Arc<Engine>]) -> ServerHandle {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind replica");
-    spawn_multi(
-        engines.to_vec(),
-        listener,
-        ServerOptions {
-            policy: BatchPolicy {
-                max_batch,
-                max_linger: Duration::from_millis(2),
-                ..BatchPolicy::default()
-            },
-            workers: 0,
-            ..ServerOptions::default()
-        },
-    )
-    .expect("spawn replica")
+    spawn_multi(engines.to_vec(), listener, ServerOptions::default()).expect("spawn replica")
 }
 
 fn main() {
     let clients = arg("--clients", 4);
     let requests_per_client = arg("--requests", 8);
     let stream_length = arg("--stream-length", 256);
-    let max_batch = arg("--max-batch", 16);
     let fault_mode = arg_str("--fault", "none");
     let fault = match fault_mode.as_str() {
         "none" => None,
@@ -140,8 +125,8 @@ fn main() {
         })
         .collect();
 
-    let replica_a = replica(&engines, max_batch);
-    let replica_b = replica(&engines, max_batch);
+    let replica_a = replica(&engines);
+    let replica_b = replica(&engines);
     // In fault mode replica A is reached only through the fault proxy;
     // replica B stays pristine so failover always has a good target.
     let proxy = fault.map(|fault| FaultProxy::spawn(replica_a.addr(), fault, 0x10AD).unwrap());

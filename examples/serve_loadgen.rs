@@ -6,13 +6,12 @@
 //! reports client-side and server-side throughput/latency.
 //!
 //! Run with: `cargo run --release --example serve_loadgen`
-//! (flags: `--clients N --requests N --stream-length L --max-batch N`)
+//! (flags: `--clients N --requests N --stream-length L`)
 
 use sc_dcnn_repro::blocks::feature_block::FeatureBlockKind;
 use sc_dcnn_repro::dcnn::config::ScNetworkConfig;
 use sc_dcnn_repro::nn::dataset::SyntheticDigits;
 use sc_dcnn_repro::nn::lenet::{tiny_lenet, PoolingStyle};
-use sc_dcnn_repro::serve::batch::BatchPolicy;
 use sc_dcnn_repro::serve::engine::{Engine, EngineOptions};
 use sc_dcnn_repro::serve::metrics::Metrics;
 use sc_dcnn_repro::serve::proto::{read_response, write_request_v3, Response};
@@ -20,7 +19,7 @@ use sc_dcnn_repro::serve::server::{spawn, ServerOptions};
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn arg(name: &str, default: usize) -> usize {
     let args: Vec<String> = std::env::args().collect();
@@ -35,7 +34,6 @@ fn main() {
     let clients = arg("--clients", 4);
     let requests_per_client = arg("--requests", 8);
     let stream_length = arg("--stream-length", 256);
-    let max_batch = arg("--max-batch", 16);
 
     // Use the paper's No.1-style configuration (MUX front layers, APC
     // fully-connected) on the reduced LeNet.
@@ -58,20 +56,7 @@ fn main() {
     );
 
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let handle = spawn(
-        Arc::new(engine),
-        listener,
-        ServerOptions {
-            policy: BatchPolicy {
-                max_batch,
-                max_linger: Duration::from_millis(2),
-                ..BatchPolicy::default()
-            },
-            workers: 0,
-            ..ServerOptions::default()
-        },
-    )
-    .expect("spawn server");
+    let handle = spawn(Arc::new(engine), listener, ServerOptions::default()).expect("spawn server");
     let addr = handle.addr();
     println!("serving on {addr}; driving {clients} closed-loop clients x {requests_per_client} requests\n");
 
