@@ -12,7 +12,7 @@ use sc_core::arena::StreamArena;
 use sc_core::bitstream::{BitStream, StreamLength};
 use sc_core::multiply;
 use sc_core::rng::Lfsr;
-use sc_core::sng::{Sng, SngBank, SngKind};
+use sc_core::sng::{BatchSng, Sng, SngBank, SngKind};
 use sc_core::{force_backend, Backend};
 use std::time::Instant;
 
@@ -136,6 +136,54 @@ fn bench_sng(length: usize, samples: usize, iters: usize) -> Comparison {
         description: "SNG stream generation (LFSR32): seed per-bit comparator \
                       loop vs batched sequence generation + bit-sliced \
                       comparator into a reused buffer",
+        baseline_ns,
+        optimized_ns,
+    }
+}
+
+/// Refilling a lane whose LFSR sequence `BatchSng` has memoized (only the
+/// bit-sliced comparator runs) against generating the lane in full, over 64
+/// lanes filled round-robin at 1024 bits.
+fn bench_sng_memoized(samples: usize, iters: usize) -> Comparison {
+    const LANES: usize = 64;
+    let len = StreamLength::new(1024);
+    let probability = |lane: usize| (lane as f64 + 0.5) / LANES as f64;
+    let mut batch = BatchSng::new(SngKind::Lfsr32);
+    let mut stream = BitStream::zeros(len);
+    for lane in 0..LANES {
+        // The first fill builds the memo entry, the second runs from it.
+        for _ in 0..2 {
+            batch
+                .fill_probability(lane as u64, probability(lane), &mut stream)
+                .unwrap();
+            let full = Sng::new(SngKind::Lfsr32, lane as u64)
+                .generate_probability(probability(lane), len)
+                .unwrap();
+            assert_eq!(stream, full, "memoized fill must match full generation");
+        }
+    }
+    let mut generators: Vec<Sng> = (0..LANES)
+        .map(|lane| Sng::new(SngKind::Lfsr32, lane as u64))
+        .collect();
+    let mut lane = 0;
+    let baseline_ns = measure(samples, iters, || {
+        lane = (lane + 1) % LANES;
+        generators[lane]
+            .generate_probability_into(probability(lane), &mut stream)
+            .unwrap()
+    });
+    let optimized_ns = measure(samples, iters, || {
+        lane = (lane + 1) % LANES;
+        batch
+            .fill_probability(lane as u64, probability(lane), &mut stream)
+            .unwrap()
+    });
+    Comparison {
+        name: "sng_fill_memoized_1024",
+        description: "SNG lane fill (LFSR32, 1024 bits, 64 lanes round-robin): \
+                      full sequence generation + bit-sliced comparator vs \
+                      BatchSng refill from the lane's memoized sequence \
+                      (comparator only)",
         baseline_ns,
         optimized_ns,
     }
@@ -834,6 +882,7 @@ fn main() {
     let comparisons = vec![
         bench_sng(1024, samples, iters * 4),
         bench_sng(8192, samples, iters),
+        bench_sng_memoized(samples, iters * 4),
         bench_inner_product(samples, iters.div_ceil(4)),
         bench_mux_block(samples, iters),
         bench_mux_selector(samples, iters),

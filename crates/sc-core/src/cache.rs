@@ -147,7 +147,11 @@ impl StreamCache {
         self.misses += 1;
         let stream = fill(arena)?;
         debug_assert_eq!(stream.len(), length.bits(), "fill produced a wrong length");
-        if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
+        // `retain` leaves tombstones that use up the table's spare room; an
+        // insert into a table with none left and more than half of it live
+        // doubles the table. Once eviction runs, a full table evicts first.
+        let table_full = self.flushes > 0 && self.map.len() == self.map.capacity();
+        if (self.map.len() >= self.capacity || table_full) && !self.map.contains_key(&key) {
             self.evict_old_half();
         }
         self.generation += 1;
@@ -307,6 +311,34 @@ mod tests {
             touch(&mut cache, 100, false);
         }
         assert!(cache.stats().flushes > 0, "churn must have evicted");
+    }
+
+    #[test]
+    fn eviction_churn_does_not_grow_the_table() {
+        // 3,000 entries sit in a table with room for 3,584: more than half
+        // of it stays live between eviction passes, so a table whose spare
+        // room runs out under churn would double.
+        let capacity = 3000;
+        let mut cache = StreamCache::new(capacity);
+        let mut arena = StreamArena::new();
+        let length = StreamLength::new(64);
+        let mut table_at_first_eviction = 0;
+        for key in 0..10 * capacity as u64 {
+            let got = cache
+                .get_or_generate::<()>((key, 0), length, &mut arena, |_| Ok(generate(key, 0.5, 64)))
+                .unwrap();
+            assert_eq!(got, generate(key, 0.5, 64), "key {key}");
+            arena.recycle(got);
+            if cache.stats().flushes == 0 {
+                table_at_first_eviction = cache.map.capacity();
+            }
+        }
+        assert!(cache.stats().flushes > 0, "churn must evict");
+        assert!(
+            cache.map.capacity() <= table_at_first_eviction,
+            "table grew from {table_at_first_eviction} to {}",
+            cache.map.capacity()
+        );
     }
 
     #[test]

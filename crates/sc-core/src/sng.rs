@@ -15,6 +15,7 @@ use crate::word::{dispatch_word_kernel, Word};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// Resolution (in bits) of the comparator threshold inside the SNG.
 ///
@@ -67,7 +68,7 @@ impl Source {
     fn for_seed(kind: SngKind, seed: u64) -> Self {
         match kind {
             SngKind::Lfsr16 => Source::Lfsr(Lfsr::new(LfsrWidth::W16, seed as u32)),
-            SngKind::Lfsr32 => Source::Lfsr(Lfsr::new(LfsrWidth::W32, seed as u32 ^ 0x9E37_79B9)),
+            SngKind::Lfsr32 => Source::Lfsr(lfsr32_for_seed(seed)),
             SngKind::Ideal => Source::Ideal(SoftwareRng::new(StdRng::seed_from_u64(seed))),
         }
     }
@@ -106,6 +107,12 @@ impl Source {
     }
 }
 
+/// The whitened width-32 register an [`SngKind::Lfsr32`] lane seeded with
+/// `seed` starts from.
+fn lfsr32_for_seed(seed: u64) -> Lfsr {
+    Lfsr::new(LfsrWidth::W32, seed as u32 ^ 0x9E37_79B9)
+}
+
 /// Batched comparator fill for the width-32 LFSR (the default hardware RNG).
 ///
 /// The register's bit-sequence is produced by [`Lfsr::w32_sequence_into`]
@@ -130,10 +137,26 @@ fn fill_words_lfsr32_batched(
         fill_words_with(|| lfsr.next_u32(), threshold, words, bits);
         return;
     }
-    let batch_bits = bits / 64 * 64;
-    let batch_words = batch_bits / 64;
-    let tail_bits = bits - batch_bits;
-    lfsr.w32_sequence_into(batch_bits, seq);
+    lfsr.w32_sequence_into(bits / 64 * 64, seq);
+    compare_w32_sequence(seq, lfsr, threshold, words, bits);
+}
+
+/// The comparator half of [`fill_words_lfsr32_batched`]: `seq` holds the
+/// lane's first `bits / 64 * 64` sequence bits as laid out by
+/// [`Lfsr::w32_sequence_into`], and `lfsr` is the register after them. The
+/// whole words are compared bit-sliced over `seq`; the remaining `bits % 64`
+/// samples run serially from `lfsr`, which ends as the register after `bits`
+/// steps. Requires `bits >= 128`.
+#[inline]
+fn compare_w32_sequence(
+    seq: &[u8],
+    lfsr: &mut Lfsr,
+    threshold: u32,
+    words: &mut [u64],
+    bits: usize,
+) {
+    let batch_words = bits / 64;
+    let tail_bits = bits % 64;
 
     // Bit-sliced threshold comparison, 64 samples per iteration.
     if threshold > 0xFFFF {
@@ -491,6 +514,19 @@ impl Sng {
     }
 }
 
+/// Byte budget of the sequence buffers a [`BatchSng`] memoizes. The `no1`
+/// plan's 1,220 input lanes take about 180 KB of it at L = 1024 (148 B per
+/// lane) and about 1.3 MB at L = 8192; lanes past the budget are generated
+/// in full on every fill.
+const SEQUENCE_MEMO_BYTES: usize = 2 << 20;
+
+/// One memoized [`SngKind::Lfsr32`] lane: the staged-recurrence buffer of
+/// its first whole-word sequence bits and the register state after them.
+struct LaneSequence {
+    seq: Box<[u8]>,
+    tail: Lfsr,
+}
+
 /// Batched multi-stream SNG fill.
 ///
 /// The per-call paths construct one [`Sng`] per lane per evaluation; each
@@ -503,13 +539,37 @@ impl Sng {
 /// only for the output buffers, which the arena-backed entry points recycle
 /// too.
 ///
+/// As in SC-DCNN hardware, an SNG is a fixed random-number generator feeding
+/// a comparator, and only the comparator's threshold depends on the encoded
+/// value. [`BatchSng::fill_probability`] therefore memoizes each
+/// [`SngKind::Lfsr32`] lane's sequence per `(lane seed, whole-word bit
+/// count)` on first use, so a refill of the same lane runs only the
+/// bit-sliced comparator (plus the serial tail of a length that is not a
+/// multiple of 64). The memo is capped at a fixed byte budget; lanes past it
+/// are generated in full on every fill. The one-shot bank generators do not
+/// memoize. Lengths under 128 bits and the other kinds always generate in
+/// full.
+///
 /// Output is bit-exact with a fresh `Sng::new(kind, lane_seed)` per lane:
 /// the seed whitening and the sequence generation are shared code.
-#[derive(Debug)]
 pub struct BatchSng {
     kind: SngKind,
     /// Reused staged-recurrence byte buffer (see [`Lfsr::w32_sequence_into`]).
     scratch: Vec<u8>,
+    /// Memoized lanes by `(lane seed, whole-word bit count)`.
+    memo: HashMap<(u64, usize), LaneSequence>,
+    /// Sequence bytes memoized so far, at most [`SEQUENCE_MEMO_BYTES`].
+    memo_bytes: usize,
+}
+
+impl std::fmt::Debug for BatchSng {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BatchSng")
+            .field("kind", &self.kind)
+            .field("memo_lanes", &self.memo.len())
+            .field("memo_bytes", &self.memo_bytes)
+            .finish()
+    }
 }
 
 impl BatchSng {
@@ -518,6 +578,8 @@ impl BatchSng {
         Self {
             kind,
             scratch: Vec::new(),
+            memo: HashMap::new(),
+            memo_bytes: 0,
         }
     }
 
@@ -529,6 +591,7 @@ impl BatchSng {
     /// Fills `stream` with a fresh encoding of `probability` from the lane
     /// generator seeded with `lane_seed`, bit-exact with
     /// `Sng::new(self.kind(), lane_seed).generate_probability_into(..)`.
+    /// The lane's sequence is memoized (see [`BatchSng`]).
     ///
     /// # Errors
     ///
@@ -542,28 +605,61 @@ impl BatchSng {
     ) -> Result<(), ScError> {
         let threshold = probability_threshold(probability)?;
         let bits = stream.len();
+        if self.kind != SngKind::Lfsr32 || bits < 128 {
+            self.fill_once(lane_seed, threshold, stream);
+            return Ok(());
+        }
+        let key = (lane_seed, bits / 64 * 64);
+        if let Some(lane) = self.memo.get(&key) {
+            let mut tail = lane.tail.clone();
+            compare_w32_sequence(&lane.seq, &mut tail, threshold, stream.words_mut(), bits);
+            return Ok(());
+        }
+        let mut lfsr = lfsr32_for_seed(lane_seed);
+        lfsr.w32_sequence_into(key.1, &mut self.scratch);
+        if self.memo_bytes + self.scratch.len() <= SEQUENCE_MEMO_BYTES {
+            self.memo_bytes += self.scratch.len();
+            self.memo.insert(
+                key,
+                LaneSequence {
+                    seq: self.scratch.as_slice().into(),
+                    tail: lfsr.clone(),
+                },
+            );
+        }
+        compare_w32_sequence(
+            &self.scratch,
+            &mut lfsr,
+            threshold,
+            stream.words_mut(),
+            bits,
+        );
+        Ok(())
+    }
+
+    /// Fills `stream` at comparator `threshold` from a fresh lane generator,
+    /// without the memo.
+    fn fill_once(&mut self, lane_seed: u64, threshold: u32, stream: &mut BitStream) {
+        let bits = stream.len();
         Source::for_seed(self.kind, lane_seed).fill_words(
             threshold,
             stream.words_mut(),
             bits,
             &mut self.scratch,
         );
-        Ok(())
     }
 
-    /// Fills `stream` with a bipolar encoding of `value ∈ [-1, 1]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScError::ValueOutOfRange`] for values outside `[-1, 1]`.
-    pub fn fill_bipolar(
+    /// One-shot bipolar fill of lane `lane` of the bank based at `base_seed`.
+    fn fill_bank_lane(
         &mut self,
-        lane_seed: u64,
+        base_seed: u64,
+        lane: usize,
         value: f64,
         stream: &mut BitStream,
     ) -> Result<(), ScError> {
-        let p = Bipolar::to_probability(value)?;
-        self.fill_probability(lane_seed, p, stream)
+        let threshold = probability_threshold(Bipolar::to_probability(value)?)?;
+        self.fill_once(SngBank::lane_seed(base_seed, lane), threshold, stream);
+        Ok(())
     }
 
     /// Generates one bipolar stream per value with the lane seeds of an
@@ -589,7 +685,7 @@ impl BatchSng {
         let mut streams = Vec::with_capacity(values.len());
         for (lane, &value) in values.iter().enumerate() {
             let mut stream = arena.take_zeroed(length);
-            match self.fill_bipolar(SngBank::lane_seed(base_seed, lane), value, &mut stream) {
+            match self.fill_bank_lane(base_seed, lane, value, &mut stream) {
                 Ok(()) => streams.push(stream),
                 Err(error) => {
                     arena.recycle(stream);
@@ -622,7 +718,7 @@ impl BatchSng {
             .enumerate()
             .map(|(lane, &value)| {
                 let mut stream = BitStream::zeros(length);
-                self.fill_bipolar(SngBank::lane_seed(base_seed, lane), value, &mut stream)?;
+                self.fill_bank_lane(base_seed, lane, value, &mut stream)?;
                 Ok(stream)
             })
             .collect()
@@ -957,7 +1053,95 @@ mod tests {
         assert_eq!(arena.pooled(), arena.stats().stream_allocs as usize);
         let mut stream = BitStream::zeros(len);
         assert!(batch.fill_probability(1, f64::NAN, &mut stream).is_err());
-        assert!(batch.fill_bipolar(1, -1.5, &mut stream).is_err());
+        assert!(batch.fill_probability(1, -0.25, &mut stream).is_err());
+    }
+
+    /// The memoized fill against a fresh `Sng` per lane, under every
+    /// available comparator backend: seeds filled twice (first a memo miss,
+    /// then a hit), one seed alternating between two lengths, and thresholds
+    /// at every edge of the comparator (0, 1, 0x8000, 0xFFFF, p = 1).
+    #[test]
+    fn memoized_fill_is_bit_exact_under_every_backend() {
+        use crate::word::{active_backend, force_backend, Backend, FORCE_BACKEND_LOCK};
+        let _serial = FORCE_BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let before = active_backend();
+        let probabilities = [0.0, 1.0 / 65536.0, 0.5, 65535.0 / 65536.0, 1.0];
+        let expected = |seed: u64, p: f64, bits: usize| {
+            let mut stream = BitStream::zeros(StreamLength::new(bits));
+            Sng::new(SngKind::Lfsr32, seed)
+                .generate_probability_into(p, &mut stream)
+                .unwrap();
+            stream
+        };
+        for backend in Backend::ALL.into_iter().filter(|b| b.is_available()) {
+            assert!(force_backend(backend));
+            let mut batch = BatchSng::new(SngKind::Lfsr32);
+            for round in 0..2 {
+                for bits in [100usize, 127, 128, 200, 256, 1000, 1024, 8192] {
+                    for &p in &probabilities {
+                        for seed in [3u64, 0xDEAD_BEEF] {
+                            // A dirty buffer: the fill must overwrite it.
+                            let mut got = BitStream::ones(StreamLength::new(bits));
+                            batch.fill_probability(seed, p, &mut got).unwrap();
+                            assert_eq!(
+                                got,
+                                expected(seed, p, bits),
+                                "{backend:?} round {round} bits {bits} p {p} seed {seed}"
+                            );
+                        }
+                    }
+                }
+            }
+            // Lengths under 128 bits are not memoized; 1000 and 1024 bits
+            // share no key (960 vs 1024 whole-word bits).
+            assert_eq!(batch.memo.len(), 2 * 6);
+            for step in 0..6 {
+                let bits = if step % 2 == 0 { 1000 } else { 8192 };
+                let mut got = BitStream::zeros(StreamLength::new(bits));
+                batch.fill_probability(41, 0.3, &mut got).unwrap();
+                assert_eq!(got, expected(41, 0.3, bits), "{backend:?} step {step}");
+            }
+        }
+        assert!(force_backend(before));
+        for kind in [SngKind::Lfsr16, SngKind::Ideal] {
+            let mut batch = BatchSng::new(kind);
+            let mut got = BitStream::zeros(StreamLength::new(1024));
+            batch.fill_probability(5, 0.3, &mut got).unwrap();
+            let mut want = BitStream::zeros(StreamLength::new(1024));
+            Sng::new(kind, 5)
+                .generate_probability_into(0.3, &mut want)
+                .unwrap();
+            assert_eq!(got, want, "{kind:?}");
+            assert!(batch.memo.is_empty(), "{kind:?} must not memoize");
+        }
+    }
+
+    #[test]
+    fn memo_stays_within_its_budget() {
+        let bits = 8192;
+        let per_lane = 4 + bits / 8 + 16;
+        let lanes = SEQUENCE_MEMO_BYTES / per_lane + 100;
+        let mut batch = BatchSng::new(SngKind::Lfsr32);
+        let mut stream = BitStream::zeros(StreamLength::new(bits));
+        for seed in 0..lanes as u64 {
+            batch.fill_probability(seed, 0.5, &mut stream).unwrap();
+        }
+        assert!(batch.memo_bytes <= SEQUENCE_MEMO_BYTES);
+        assert_eq!(batch.memo.len(), SEQUENCE_MEMO_BYTES / per_lane);
+        // Lanes past the budget still fill correctly, as do memoized ones.
+        for seed in [0, lanes as u64 - 1] {
+            batch.fill_probability(seed, 0.7, &mut stream).unwrap();
+            let want = Sng::new(SngKind::Lfsr32, seed)
+                .generate_probability(0.7, StreamLength::new(bits))
+                .unwrap();
+            assert_eq!(stream, want, "seed {seed}");
+        }
+        // Debug reports the memo's size, not its buffers.
+        let printed = format!("{batch:?}");
+        assert!(
+            printed.contains("memo_lanes") && printed.len() < 200,
+            "{printed}"
+        );
     }
 
     #[test]

@@ -737,6 +737,11 @@ pub fn active_backend() -> Backend {
     backend
 }
 
+/// Serializes tests that force the process-wide backend and then read it
+/// back.
+#[cfg(test)]
+pub(crate) static FORCE_BACKEND_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// Forces the active backend, returning `true` if it was applied.
 ///
 /// An unavailable backend (not compiled in, or the CPU lacks the feature)
@@ -888,6 +893,7 @@ mod tests {
 
     #[test]
     fn force_backend_refuses_unavailable() {
+        let _serial = FORCE_BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let before = active_backend();
         assert!(before.is_available());
         // Forcing the portable backends always works; forcing back restores.

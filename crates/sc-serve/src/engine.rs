@@ -16,8 +16,10 @@
 //!   `(lane seed, comparator threshold)` pair, all units of a layer share
 //!   their SNG wiring, and decoded layer outputs are quantized to `L + 1`
 //!   levels, so the same keys recur constantly — across the units of a
-//!   fully-connected layer, across pooling windows, and across the requests
-//!   of a batch.
+//!   fully-connected layer, across pooling windows, and across requests.
+//!   A miss fills through the session's [`sc_core::sng::BatchSng`], which
+//!   memoizes each input lane's LFSR sequence: after a lane's first fill,
+//!   a miss runs only the threshold comparator.
 //!
 //! Evaluation then runs one layer-fused call per layer position
 //! ([`FeatureBlock::evaluate_layer_prepared_with`]): every unit of the
@@ -79,8 +81,10 @@ pub struct Session {
     arena: StreamArena,
     cache: StreamCache,
     /// Batched SNG shared by every cache miss of this session: one
-    /// staged-recurrence scratch serves all lanes of all layers, so misses
-    /// allocate nothing beyond the (arena-pooled) stream buffer.
+    /// staged-recurrence scratch serves all lanes of all layers, and each
+    /// lane's sequence is memoized on its first fill, so later misses run
+    /// only the comparator and allocate nothing beyond the (arena-pooled)
+    /// stream buffer.
     sng: BatchSng,
     /// Warm sub-sessions handed to single-request unit fan-out workers and
     /// collected back afterwards, so their caches survive across layers and
