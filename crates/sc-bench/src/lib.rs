@@ -14,7 +14,9 @@
 //!
 //! The Criterion benches (`cargo bench -p sc-bench`) measure the raw
 //! throughput of the SC primitives, the function blocks and the
-//! error-injection inference path.
+//! error-injection inference path; the `bench_kernels` binary times the
+//! word-parallel kernels per backend and records `BENCH_kernels.json`.
+//! Serving is measured outside this crate, by `servebench/`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

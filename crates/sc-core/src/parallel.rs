@@ -9,15 +9,14 @@
 //!    partitioned by *index*, each item derives all of its randomness from
 //!    its own index (the `SngBank` splitmix scheme), and results are written
 //!    into the output slot matching the input index. Running with
-//!    `SC_THREADS=1`, with the `parallel` feature disabled, or on a 128-core
-//!    box produces exactly the same numbers.
+//!    `SC_THREADS=1` or on a 128-core box produces exactly the same numbers.
 //! 2. **No dependency beyond `std`.** The fan-out uses `std::thread::scope`;
 //!    this is the crate's stand-in for a rayon parallel iterator in an
 //!    offline build environment (see `vendor/README.md`).
 //!
-//! The `parallel` cargo feature (default-on) gates the threading; when
-//! disabled every function here degrades to the serial loop. The
-//! `SC_THREADS` environment variable caps the worker count at runtime.
+//! The `SC_THREADS` environment variable caps the worker count at runtime
+//! (`1` degrades every function here to the serial loop);
+//! [`set_thread_limit`] does the same from code.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -44,12 +43,12 @@ pub fn set_thread_limit(limit: usize) {
 
 /// Maximum number of worker threads to use.
 ///
-/// Honors, in order: the `parallel` feature (off → 1), a nested fan-out
-/// (worker context → 1), [`set_thread_limit`], the `SC_THREADS` environment
-/// variable (read once per process; values `0` and `1` both mean "serial"),
-/// then the machine's available parallelism. Always at least 1.
+/// Honors, in order: a nested fan-out (worker context → 1),
+/// [`set_thread_limit`], the `SC_THREADS` environment variable (read once
+/// per process; values `0` and `1` both mean "serial"), then the machine's
+/// available parallelism. Always at least 1.
 pub fn max_threads() -> usize {
-    if !cfg!(feature = "parallel") || IN_WORKER.with(Cell::get) {
+    if IN_WORKER.with(Cell::get) {
         return 1;
     }
     let limit = THREAD_LIMIT.load(Ordering::Relaxed);

@@ -109,7 +109,7 @@ pub mod prelude {
         spawn_router, spawn_router_observed, RouterHandle, RouterOptions, RouterStats,
     };
     pub use crate::server::{
-        bind_reusable, spawn, spawn_multi, spawn_multi_observed, ModelRegistry, ServerHandle,
+        bind_reusable, spawn_multi, spawn_multi_observed, ModelRegistry, ServerHandle,
         ServerOptions, SHUTTING_DOWN_MESSAGE,
     };
 }

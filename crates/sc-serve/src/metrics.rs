@@ -296,59 +296,46 @@ impl std::fmt::Display for MetricsReport {
     }
 }
 
-/// Nearest-rank index into an ascending sample list of `len` elements.
-///
-/// The rank is `⌈p·n / 100⌉`, clamped to `[1, n]` and returned zero-based.
-/// The product is formed *before* the division so a binary-unrepresentable
-/// `p/100` (e.g. `0.95`) cannot push the rank past an exact integer boundary
-/// and select the wrong sample; at small sample counts (`n = 2`, p95/p99)
-/// the rank clamps to the max sample instead of rounding to a wrong index.
-/// `p ≥ 100` always selects the max sample, `p ≤ 0` the min. The serving
-/// benchmark's exact-sample baseline path uses this directly;
-/// [`LogHistogram::value_at_percentile`] follows the same rank convention at
-/// bucket resolution, so the two report comparable figures.
-///
-/// # Panics
-///
-/// Panics (in debug builds) for `len == 0`; callers handle empty lists.
-pub fn nearest_rank_index(len: usize, percentile: f64) -> usize {
-    debug_assert!(len > 0, "nearest rank of an empty sample list");
-    if percentile >= 100.0 {
-        return len - 1;
-    }
-    let rank = ((percentile.max(0.0) * len as f64) / 100.0).ceil() as usize;
-    rank.clamp(1, len) - 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
-    /// Exact nearest-rank percentile over an ascending list, in ms.
-    fn percentile_ms(sorted_us: &[u64], percentile: f64) -> f64 {
-        if sorted_us.is_empty() {
-            return 0.0;
+    /// Latency percentile of `samples_us` (µs) as [`Metrics`] reports it:
+    /// from the lifetime histogram, by nearest rank `⌈p·n/100⌉`.
+    fn percentile_us(samples_us: &[u64], percentile: f64) -> u64 {
+        let metrics = Metrics::new();
+        for &us in samples_us {
+            metrics.record(Duration::from_micros(us));
         }
-        sorted_us[nearest_rank_index(sorted_us.len(), percentile)] as f64 / 1000.0
+        metrics.latency().value_at_percentile(percentile)
+    }
+
+    /// The 100 smallest latencies the histogram stores exactly (every value
+    /// below 64 µs, then one bucket lower bound per bucket), so each
+    /// percentile below names exactly one sample, free of bucket rounding.
+    fn hundred_exact_samples() -> Vec<u64> {
+        (1u64..)
+            .filter(|us| us % ((1 << us.ilog2()) / 32).max(1) == 0)
+            .take(100)
+            .collect()
     }
 
     #[test]
     fn percentiles_use_nearest_rank() {
-        let us: Vec<u64> = (1..=100).map(|i| i * 1000).collect();
-        assert_eq!(percentile_ms(&us, 50.0), 50.0);
-        assert_eq!(percentile_ms(&us, 95.0), 95.0);
-        assert_eq!(percentile_ms(&us, 99.0), 99.0);
-        assert_eq!(percentile_ms(&us, 100.0), 100.0);
-        assert_eq!(percentile_ms(&[], 50.0), 0.0);
+        let us = hundred_exact_samples();
+        for p in [50usize, 95, 99, 100] {
+            assert_eq!(percentile_us(&us, p as f64), us[p - 1], "p{p}");
+        }
+        assert_eq!(percentile_us(&[], 50.0), 0);
     }
 
     #[test]
     fn percentiles_of_one_sample_are_that_sample() {
         let us = [7_000u64];
         for p in [0.0, 50.0, 95.0, 99.0, 100.0] {
-            assert_eq!(percentile_ms(&us, p), 7.0, "p{p}");
+            assert_eq!(percentile_us(&us, p), 7_000, "p{p}");
         }
     }
 
@@ -357,37 +344,37 @@ mod tests {
         // Regression: at n = 2 the p95/p99 nearest rank is ⌈1.9⌉ = ⌈1.98⌉ = 2
         // — the max sample. A mis-rounded index here under-reports tail
         // latency by the full min/max spread.
-        let us = [1_000u64, 9_000];
-        assert_eq!(percentile_ms(&us, 50.0), 1.0);
-        assert_eq!(percentile_ms(&us, 95.0), 9.0);
-        assert_eq!(percentile_ms(&us, 99.0), 9.0);
-        assert_eq!(percentile_ms(&us, 100.0), 9.0);
+        let us = [10u64, 90];
+        assert_eq!(percentile_us(&us, 50.0), 10);
+        assert_eq!(percentile_us(&us, 95.0), 90);
+        assert_eq!(percentile_us(&us, 99.0), 90);
+        assert_eq!(percentile_us(&us, 100.0), 90);
     }
 
     #[test]
     fn three_sample_percentiles_pick_exact_ranks() {
-        let us = [1_000u64, 2_000, 3_000];
-        assert_eq!(percentile_ms(&us, 50.0), 2.0); // ⌈1.5⌉ = 2nd sample
-        assert_eq!(percentile_ms(&us, 95.0), 3.0); // ⌈2.85⌉ = 3rd sample
-        assert_eq!(percentile_ms(&us, 99.0), 3.0);
-        assert_eq!(percentile_ms(&us, 1.0), 1.0); // ⌈0.03⌉ clamps to 1st
+        let us = [10u64, 20, 30];
+        assert_eq!(percentile_us(&us, 50.0), 20); // ⌈1.5⌉ = 2nd sample
+        assert_eq!(percentile_us(&us, 95.0), 30); // ⌈2.85⌉ = 3rd sample
+        assert_eq!(percentile_us(&us, 99.0), 30);
+        assert_eq!(percentile_us(&us, 1.0), 10); // ⌈0.03⌉ clamps to 1st
     }
 
     #[test]
     fn hundred_sample_percentiles_resist_float_drift() {
         // p·n/100 lands exactly on integers for n = 100; the formula must
         // not let float rounding bump the rank up one (e.g. p55 → 56th).
-        let us: Vec<u64> = (1..=100).map(|i| i * 1000).collect();
-        for p in 1..=100u64 {
+        let us = hundred_exact_samples();
+        for p in 1..=100usize {
             assert_eq!(
-                percentile_ms(&us, p as f64),
-                p as f64,
+                percentile_us(&us, p as f64),
+                us[p - 1],
                 "p{p} must select sample {p} of 100"
             );
         }
         // Out-of-range percentiles degrade to min/max, never panic.
-        assert_eq!(percentile_ms(&us, -5.0), 1.0);
-        assert_eq!(percentile_ms(&us, 250.0), 100.0);
+        assert_eq!(percentile_us(&us, -5.0), us[0]);
+        assert_eq!(percentile_us(&us, 250.0), us[99]);
     }
 
     #[test]

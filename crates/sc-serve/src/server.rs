@@ -342,13 +342,6 @@ impl ServerHandle {
         self.registry.model_count()
     }
 
-    /// The live model registry behind this server — the same one admin
-    /// frames mutate. In-process tests and tooling can drive
-    /// load/unload/drain through it directly.
-    pub fn model_registry(&self) -> Arc<ModelRegistry> {
-        Arc::clone(&self.registry)
-    }
-
     /// Stops accepting and shuts down gracefully: every request accepted
     /// before the sockets close is answered (queued jobs drain through the
     /// workers) or refused with [`SHUTTING_DOWN_MESSAGE`]; then connection
@@ -458,20 +451,6 @@ pub fn bind_reusable(addr: SocketAddr) -> std::io::Result<TcpListener> {
 #[cfg(not(target_os = "linux"))]
 pub fn bind_reusable(addr: SocketAddr) -> std::io::Result<TcpListener> {
     TcpListener::bind(addr)
-}
-
-/// Starts serving a single engine on `listener` (model 0) and returns
-/// immediately.
-///
-/// # Errors
-///
-/// Returns an I/O error if the listener's local address cannot be read.
-pub fn spawn(
-    engine: Arc<Engine>,
-    listener: TcpListener,
-    options: ServerOptions,
-) -> std::io::Result<ServerHandle> {
-    spawn_multi(vec![engine], listener, options)
 }
 
 /// Starts serving `engines` on one listener and returns immediately.

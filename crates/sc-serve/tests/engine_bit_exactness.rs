@@ -1,11 +1,13 @@
 //! Property test: the compiled engine is bit-exact with the per-call
 //! interpreter across block kinds, stream lengths (including the
-//! non-word-multiple 127), batch sizes, and cache pressure.
+//! non-word-multiple 127), network sizes (a small probe network and the
+//! reduced LeNet), batch sizes, and cache pressure.
 
 use sc_blocks::feature_block::FeatureBlockKind;
 use sc_dcnn::config::ScNetworkConfig;
+use sc_nn::dataset::SyntheticDigits;
 use sc_nn::layers::{AvgPool2, Conv2d, Dense, MaxPool2, Tanh};
-use sc_nn::lenet::PoolingStyle;
+use sc_nn::lenet::{tiny_lenet, PoolingStyle};
 use sc_nn::network::Network;
 use sc_nn::tensor::Tensor;
 use sc_serve::engine::{Engine, EngineOptions};
@@ -64,6 +66,23 @@ fn engine_is_bit_exact_across_kinds_and_lengths() {
                 .verify(&mut session, &images)
                 .unwrap_or_else(|error| panic!("{kind} at L={stream_length}: {error}"));
         }
+    }
+
+    // The reduced LeNet on 1x28x28 digits: its receptive fields hold 25 to
+    // 256 lanes, where the probe network's largest holds 18. No.1-style
+    // (MUX, MUX, APC, APC) and all-APC cover both accumulator paths.
+    use FeatureBlockKind::{ApcMaxBtanh, MuxMaxStanh};
+    let network = tiny_lenet(17);
+    let images = SyntheticDigits::generate(1, 23).train_images;
+    for kinds in [
+        vec![MuxMaxStanh, MuxMaxStanh, ApcMaxBtanh, ApcMaxBtanh],
+        vec![ApcMaxBtanh; 4],
+    ] {
+        let config = ScNetworkConfig::new("tiny-lenet", kinds, 128, PoolingStyle::Max);
+        let engine = Engine::compile(&network, &config, EngineOptions::default()).unwrap();
+        engine
+            .verify(&mut engine.new_session(), &images[..2])
+            .unwrap_or_else(|error| panic!("tiny-lenet {}: {error}", config.layer_summary()));
     }
 }
 

@@ -1,7 +1,8 @@
 //! Router integration tests: two multi-model `serve` replicas behind the
-//! replica router, exercising least-loaded routing, replica death, graceful
-//! drain, and exactly-once failover — every client request must be answered,
-//! bit-exact with a direct engine call.
+//! replica router, exercising least-loaded routing, hedged requests under
+//! concurrent connections, replica death, graceful drain, and exactly-once
+//! failover — every client request must be answered, bit-exact with a
+//! direct engine call.
 
 use sc_blocks::feature_block::FeatureBlockKind;
 use sc_dcnn::config::ScNetworkConfig;
@@ -169,10 +170,82 @@ fn routed_requests_are_bit_exact_with_direct_inference() {
         stats.failed, 1,
         "the unhosted-model request is the one failure"
     );
-
     drop(writer);
     drop(reader);
     router.shutdown();
+
+    // Concurrency through a hedged router: 32 connections open at once,
+    // two requests each across both models. A 1 ms hedge delay makes
+    // queued requests race a second arm on the other replica; every reply
+    // must still be the one bit-exact answer to its own request.
+    const CONNECTIONS: usize = 32;
+    const PER_CONNECTION: usize = 2;
+    let hedged = spawn_router(
+        TcpListener::bind("127.0.0.1:0").unwrap(),
+        vec![replica_a.addr(), replica_b.addr()],
+        RouterOptions {
+            health_interval: Duration::from_millis(50),
+            connect_timeout: Duration::from_millis(500),
+            hedge: true,
+            hedge_delay: Duration::from_millis(1),
+            ..RouterOptions::default()
+        },
+    )
+    .unwrap();
+    let addr = hedged.addr();
+    let start = Arc::new(std::sync::Barrier::new(CONNECTIONS));
+    let clients: Vec<_> = (0..CONNECTIONS)
+        .map(|client| {
+            let engines = engines.clone();
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                let stream = TcpStream::connect(addr).expect("connect router");
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(30)))
+                    .unwrap();
+                let mut writer = stream.try_clone().unwrap();
+                let mut reader = BufReader::new(stream);
+                start.wait();
+                for request in 0..PER_CONNECTION {
+                    let id = (client * PER_CONNECTION + request) as u64;
+                    let model = (id % 2) as usize;
+                    let image = test_image(id as u32);
+                    write_request_v3(
+                        &mut writer,
+                        id,
+                        model as u16,
+                        0,
+                        [1, 4, 4],
+                        image.as_slice(),
+                    )
+                    .expect("send through hedged router");
+                    let expected = engines[model]
+                        .infer(&mut engines[model].new_session(), &image)
+                        .unwrap();
+                    match read_response(&mut reader).expect("hedged router reply") {
+                        Some(Response::Ok {
+                            id: rid, logits, ..
+                        }) => {
+                            assert_eq!(rid, id);
+                            assert_eq!(logits, expected.logits, "request {id} must be bit-exact");
+                        }
+                        Some(Response::Err { message, .. }) => {
+                            panic!("request {id} errored: {message}")
+                        }
+                        None => panic!("hedged router closed on request {id}"),
+                    }
+                }
+            })
+        })
+        .collect();
+    for client in clients {
+        client.join().expect("client must finish with all answers");
+    }
+    let stats = hedged.stats();
+    assert_eq!(stats.requests, (CONNECTIONS * PER_CONNECTION) as u64);
+    assert_eq!(stats.failed, 0, "no request may be lost: {stats}");
+
+    hedged.shutdown();
     replica_a.shutdown();
     replica_b.shutdown();
 }

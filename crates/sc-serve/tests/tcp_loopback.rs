@@ -11,7 +11,7 @@ use sc_nn::tensor::Tensor;
 use sc_serve::engine::{Engine, EngineOptions};
 use sc_serve::plan::PlanOptions;
 use sc_serve::proto::{read_response, write_request_v2, write_request_v3, Response};
-use sc_serve::server::{spawn, spawn_multi, ServerOptions, SHUTTING_DOWN_MESSAGE};
+use sc_serve::server::{spawn_multi, ServerOptions, SHUTTING_DOWN_MESSAGE};
 use std::io::{BufReader, ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -54,8 +54,8 @@ fn test_image(seed: u32) -> Tensor {
 fn loopback_round_trip_matches_direct_inference() {
     let engine = Arc::new(quick_engine());
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let handle = spawn(
-        Arc::clone(&engine),
+    let handle = spawn_multi(
+        vec![Arc::clone(&engine)],
         listener,
         ServerOptions {
             workers: 2,
@@ -133,7 +133,7 @@ fn loopback_round_trip_matches_direct_inference() {
 }
 
 #[test]
-fn multi_model_listener_serves_v1_and_v2_traffic() {
+fn multi_model_listener_dispatches_by_model_id() {
     // Two engines with different seed schemes produce different logits for
     // the same pixels, so the test can prove the model id actually selects.
     let engines = vec![
@@ -213,8 +213,8 @@ fn shutdown_answers_in_flight_requests_and_returns() {
     // `shutdown()` must return without waiting for the client to disconnect.
     let engine = Arc::new(quick_engine());
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let handle = spawn(
-        Arc::clone(&engine),
+    let handle = spawn_multi(
+        vec![Arc::clone(&engine)],
         listener,
         ServerOptions {
             workers: 1,
@@ -287,7 +287,12 @@ fn shutdown_closes_idle_connections_instead_of_leaking_readers() {
     // socket (the client observes clean EOF promptly) and join the thread.
     let engine = Arc::new(quick_engine());
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let handle = spawn(Arc::clone(&engine), listener, ServerOptions::default()).unwrap();
+    let handle = spawn_multi(
+        vec![Arc::clone(&engine)],
+        listener,
+        ServerOptions::default(),
+    )
+    .unwrap();
 
     let stream = TcpStream::connect(handle.addr()).unwrap();
     // Bound the wait: if the server never closes the socket, this test must
@@ -322,8 +327,8 @@ fn idle_read_timeout_reclaims_silent_connections_but_spares_active_ones() {
     // slice — stays up, because activity resets the idle clock.
     let engine = Arc::new(quick_engine());
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let handle = spawn(
-        Arc::clone(&engine),
+    let handle = spawn_multi(
+        vec![Arc::clone(&engine)],
         listener,
         ServerOptions {
             idle_timeout: Duration::from_millis(300),
