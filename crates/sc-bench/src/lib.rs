@@ -12,11 +12,9 @@
 //! cargo run -p sc-bench --release --bin experiments -- --quick   # everything
 //! ```
 //!
-//! The Criterion benches (`cargo bench -p sc-bench`) measure the raw
-//! throughput of the SC primitives, the function blocks and the
-//! error-injection inference path; the `bench_kernels` binary times the
-//! word-parallel kernels per backend and records `BENCH_kernels.json`.
-//! Serving is measured outside this crate, by `servebench/`.
+//! Nothing here times code. Kernels and serving are measured by
+//! `servebench/`, whose traced runs split engine time per plan layer under
+//! whichever backend `SC_KERNEL_BACKEND` pins.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -262,25 +262,6 @@ impl<W: Word> WideVerticalCounter<W> {
     }
 }
 
-/// Accumulates exact column counts of `words` (one word per lane, all at the
-/// same word position) into `counts` through a [`VerticalCounter`]:
-/// `counts[t] += |{lane : bit t of words[lane] set}|`.
-///
-/// This is the convenience entry point for counting at a single word
-/// position; the hot kernels in [`crate::add`] keep their own counters so
-/// the compressor state threads across an entire layer evaluation.
-pub fn accumulate_column_counts(words: &[u64], counts: &mut [u16]) {
-    let mut counter = VerticalCounter::new();
-    let mut chunks = words.chunks_exact(3);
-    for triple in &mut chunks {
-        counter.add3(triple[0], triple[1], triple[2]);
-    }
-    for &word in chunks.remainder() {
-        counter.add(word);
-    }
-    counter.drain_into(counts);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,6 +271,26 @@ mod tests {
         (0..64)
             .map(|t| words.iter().filter(|w| (*w >> t) & 1 == 1).count() as u16)
             .collect()
+    }
+
+    /// Adds one word per lane, all at the same word position: lane triples
+    /// through the 3:2 compressor, the remainder one at a time.
+    fn absorb(counter: &mut VerticalCounter, words: &[u64]) {
+        let mut chunks = words.chunks_exact(3);
+        for triple in &mut chunks {
+            counter.add3(triple[0], triple[1], triple[2]);
+        }
+        for &word in chunks.remainder() {
+            counter.add(word);
+        }
+    }
+
+    /// Exact column counts of `words` accumulated into `counts`:
+    /// `counts[t] += |{lane : bit t of words[lane] set}|`.
+    fn accumulate_column_counts(words: &[u64], counts: &mut [u16]) {
+        let mut counter = VerticalCounter::new();
+        absorb(&mut counter, words);
+        counter.drain_into(counts);
     }
 
     fn pseudo_words(lanes: usize, salt: u64) -> Vec<u64> {
@@ -377,13 +378,7 @@ mod tests {
         for lanes in [1usize, 2, 3, 4, 7, 8, 31, 63, 100, 255] {
             let words = pseudo_words(lanes, 1000 + lanes as u64);
             let mut counter = VerticalCounter::new();
-            let mut chunks = words.chunks_exact(3);
-            for t in &mut chunks {
-                counter.add3(t[0], t[1], t[2]);
-            }
-            for &w in chunks.remainder() {
-                counter.add(w);
-            }
+            absorb(&mut counter, &words);
             // Per-bit reference from the packed planes themselves.
             let expected: Vec<u16> = (0..64)
                 .map(|t| {
@@ -471,13 +466,7 @@ mod tests {
         // plane.
         let words = vec![u64::MAX; 65_535];
         let mut counter = VerticalCounter::new();
-        let mut chunks = words.chunks_exact(3);
-        for t in &mut chunks {
-            counter.add3(t[0], t[1], t[2]);
-        }
-        for &w in chunks.remainder() {
-            counter.add(w);
-        }
+        absorb(&mut counter, &words);
         let mut counts = vec![0u16; 64];
         counter.drain_into(&mut counts);
         assert!(counts.iter().all(|&c| c == 65_535));

@@ -791,48 +791,6 @@ impl SngBank {
             .collect()
     }
 
-    /// Arena-backed variant of [`SngBank::generate_bipolar`]: stream buffers
-    /// come from (and should later be recycled into) `arena`, so repeated
-    /// evaluations allocate nothing in steady state. Output is bit-identical
-    /// to the allocating variant.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SngBank::generate_bipolar`].
-    pub fn generate_bipolar_with(
-        &mut self,
-        values: &[f64],
-        length: StreamLength,
-        arena: &mut crate::arena::StreamArena,
-    ) -> Result<Vec<BitStream>, ScError> {
-        if values.is_empty() {
-            return Err(ScError::EmptyInput);
-        }
-        if values.len() > self.generators.len() {
-            return Err(ScError::InvalidParameter {
-                name: "values",
-                message: format!(
-                    "{} values exceed the {} available SNG lanes",
-                    values.len(),
-                    self.generators.len()
-                ),
-            });
-        }
-        let mut streams = Vec::with_capacity(values.len());
-        for (&value, sng) in values.iter().zip(self.generators.iter_mut()) {
-            let mut stream = arena.take_zeroed(length);
-            match sng.generate_bipolar_into(value, &mut stream) {
-                Ok(()) => streams.push(stream),
-                Err(error) => {
-                    arena.recycle(stream);
-                    arena.recycle_all(streams);
-                    return Err(error);
-                }
-            }
-        }
-        Ok(streams)
-    }
-
     /// Mutable access to an individual lane.
     pub fn lane_mut(&mut self, lane: usize) -> Option<&mut Sng> {
         self.generators.get_mut(lane)
@@ -936,8 +894,8 @@ mod tests {
     #[test]
     fn word_fill_is_bit_exact_with_bitwise_reference() {
         for kind in [SngKind::Lfsr16, SngKind::Lfsr32, SngKind::Ideal] {
-            for bits in [1usize, 63, 64, 65, 100, 127, 1024] {
-                for &p in &[0.0, 0.25, 0.5, 0.9, 1.0] {
+            for bits in [1usize, 63, 64, 65, 100, 127, 1024, 8192] {
+                for &p in &[0.0, 0.25, 0.5, 0.685, 0.9, 1.0] {
                     let len = StreamLength::new(bits);
                     let mut fast = Sng::new(kind, 42);
                     let mut reference = Sng::new(kind, 42);
@@ -1144,23 +1102,109 @@ mod tests {
         );
     }
 
+    /// Frozen copy of the original 32-bit LFSR step (popcount parity over
+    /// taps `0x8020_0003`), written without [`Lfsr`] so the pin below is an
+    /// independent reference.
+    struct FrozenLfsr32 {
+        state: u32,
+    }
+
+    impl FrozenLfsr32 {
+        fn new(seed: u32) -> Self {
+            Self { state: seed.max(1) }
+        }
+
+        fn step(&mut self) -> u32 {
+            const TAPS: u32 = 0x8020_0003;
+            let feedback = (self.state & TAPS).count_ones() & 1;
+            self.state = (self.state << 1) | feedback;
+            if self.state == 0 {
+                self.state = 1;
+            }
+            self.state
+        }
+    }
+
+    /// Frozen copy of the original per-bit [`SngKind::Lfsr32`] generator:
+    /// the seed whitening, then one comparator sample per bit.
+    fn frozen_lfsr32_stream(seed: u64, probability: f64, len: StreamLength) -> BitStream {
+        let mut lfsr = FrozenLfsr32::new(seed as u32 ^ 0x9E37_79B9);
+        let threshold = (probability * f64::from(1u32 << 16)).round() as u32;
+        let mut stream = BitStream::zeros(len);
+        for i in 0..len.bits() {
+            if lfsr.step() & 0xFFFF < threshold {
+                stream.set(i, true);
+            }
+        }
+        stream
+    }
+
+    /// Frozen copy of the original [`SngBank`] lane stride (splitmix).
+    fn frozen_lane_seed(base_seed: u64, lane: usize) -> u64 {
+        base_seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(lane as u64 + 1))
+    }
+
+    /// A stored plan keeps SNG seeds, not streams, so the stream a seed
+    /// stands for must never change: a drift in the seed whitening or the
+    /// lane stride would make every stored plan silently serve different
+    /// answers. Pins the single generator, every bank lane and both
+    /// `BatchSng` paths (memoized, and the short-stream fill under 128
+    /// bits) to the frozen copies above.
     #[test]
-    fn arena_bank_generation_matches_allocating_bank() {
-        let mut arena = crate::arena::StreamArena::new();
-        let values = [0.25, -0.5, 0.75];
-        let mut plain = SngBank::new(SngKind::Lfsr32, 3, 7);
-        let mut pooled = SngBank::new(SngKind::Lfsr32, 3, 7);
-        let expected = plain.generate_bipolar(&values, length()).unwrap();
-        let streams = pooled
-            .generate_bipolar_with(&values, length(), &mut arena)
+    fn lfsr32_streams_match_frozen_generator() {
+        for bits in [1usize, 100, 127, 1024, 8192] {
+            let len = StreamLength::new(bits);
+            for &p in &[0.0, 0.3, 0.685, 1.0] {
+                for seed in [0u64, 7, 0x9E37_79B9, 0xDEAD_BEEF, u64::MAX] {
+                    assert_eq!(
+                        Sng::new(SngKind::Lfsr32, seed)
+                            .generate_probability(p, len)
+                            .unwrap(),
+                        frozen_lfsr32_stream(seed, p, len),
+                        "seed {seed:#x} p {p} bits {bits}"
+                    );
+                }
+            }
+        }
+
+        const LANES: usize = 32;
+        let base = 42u64;
+        let values: Vec<f64> = (0..LANES).map(|i| i as f64 / LANES as f64 - 0.5).collect();
+        let probability = |lane: usize| (values[lane] + 1.0) / 2.0;
+        let len = StreamLength::new(1024);
+        let bank = SngBank::new(SngKind::Lfsr32, LANES, base)
+            .generate_bipolar(&values, len)
             .unwrap();
-        assert_eq!(streams, expected);
-        arena.recycle_all(streams);
-        // Second round reuses the recycled buffers and must still match.
-        let expected = plain.generate_bipolar(&values, length()).unwrap();
-        let streams = pooled
-            .generate_bipolar_with(&values, length(), &mut arena)
-            .unwrap();
-        assert_eq!(streams, expected);
+        for (lane, stream) in bank.iter().enumerate() {
+            let seed = frozen_lane_seed(base, lane);
+            assert_eq!(SngBank::lane_seed(base, lane), seed, "lane {lane}");
+            assert_eq!(
+                *stream,
+                frozen_lfsr32_stream(seed, probability(lane), len),
+                "bank lane {lane}"
+            );
+        }
+
+        let mut batch = BatchSng::new(SngKind::Lfsr32);
+        for bits in [1024usize, 127] {
+            let len = StreamLength::new(bits);
+            // At 1024 bits the first round fills the memo and the second
+            // runs from it; 127 bits always takes the short-stream path.
+            for round in 0..2 {
+                for lane in 0..LANES {
+                    let seed = frozen_lane_seed(base, lane);
+                    let mut stream = BitStream::ones(len);
+                    batch
+                        .fill_probability(seed, probability(lane), &mut stream)
+                        .unwrap();
+                    assert_eq!(
+                        stream,
+                        frozen_lfsr32_stream(seed, probability(lane), len),
+                        "batch lane {lane} bits {bits} round {round}"
+                    );
+                }
+            }
+        }
+        assert_eq!(batch.memo.len(), LANES, "1024-bit lanes are memoized");
     }
 }

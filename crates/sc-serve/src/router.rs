@@ -54,8 +54,6 @@
 //! hop-decremented deadline. Response payloads are relayed with only the id
 //! rewritten back, so a routed inference is bit-exact with a direct engine
 //! call.
-//!
-//! [`SHUTTING_DOWN_MESSAGE`]: crate::server::SHUTTING_DOWN_MESSAGE
 
 use crate::obs::{MetricsRegistry, Sample, SampleKind, TraceEvent, TraceLog};
 use crate::proto::{
@@ -63,7 +61,7 @@ use crate::proto::{
     write_admin_response, write_ping, write_pong, write_response, AdminOp, AdminResponse,
     ErrorCode, FrameDecoder, Message, Request, Response,
 };
-use crate::server::{is_would_block, SHUTTING_DOWN_MESSAGE};
+use crate::server::is_would_block;
 use std::collections::HashMap;
 use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -781,14 +779,9 @@ fn health_loop(shared: &RouterShared) {
 /// act on (retriable elsewhere, or deadline-expired), `None` for answers to
 /// relay as-is (`Ok`, and application errors — a bad shape is bad on every
 /// replica).
-///
-/// A plain-`App` response carrying exactly [`SHUTTING_DOWN_MESSAGE`] is
-/// honored as a shutdown refusal for wire compatibility with pre-v3
-/// replicas, which had no status byte for it.
 fn refusal_code(response: &Response) -> Option<ErrorCode> {
     match response {
-        Response::Err { code, message, .. } => match code {
-            ErrorCode::App if message == SHUTTING_DOWN_MESSAGE => Some(ErrorCode::ShuttingDown),
+        Response::Err { code, .. } => match code {
             ErrorCode::App => None,
             other => Some(*other),
         },
@@ -2165,7 +2158,7 @@ mod tests {
 
     #[test]
     fn refusal_codes_classify_retriability() {
-        // Typed refusals (v3 replicas).
+        // Typed refusals.
         for code in [ErrorCode::Overloaded, ErrorCode::ShuttingDown] {
             let refusal = Response::Err {
                 id: 1,
@@ -2174,15 +2167,6 @@ mod tests {
             };
             assert_eq!(refusal_code(&refusal), Some(code));
         }
-        // Legacy shutdown refusal: App code, contract message.
-        assert_eq!(
-            refusal_code(&Response::Err {
-                id: 1,
-                code: ErrorCode::App,
-                message: SHUTTING_DOWN_MESSAGE.to_string(),
-            }),
-            Some(ErrorCode::ShuttingDown)
-        );
         // Application errors and successes are relayed, not retried.
         assert_eq!(
             refusal_code(&Response::app_err(

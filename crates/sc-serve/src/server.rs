@@ -75,11 +75,9 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Error message sent for a request accepted while the server is draining.
-///
-/// The router treats a response carrying exactly this message as a refusal
-/// (retriable on another replica) rather than an application error, so the
-/// string is part of the serving contract.
+/// Error message sent, with [`ErrorCode::ShuttingDown`], for a request
+/// accepted while the server is draining. The router retries that code on
+/// another replica; the message is for humans and logs.
 pub const SHUTTING_DOWN_MESSAGE: &str = "shutting down";
 
 /// How long a connection with pending output may make zero write progress
